@@ -11,6 +11,7 @@ package appvsweb
 
 import (
 	"context"
+	"crypto/tls"
 	"crypto/x509"
 	"io"
 	"net/http"
@@ -362,50 +363,102 @@ func BenchmarkAblationEasyList(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationTLSResume measures interception throughput with and
-// without the upstream TLS session cache.
+// BenchmarkAblationTLSResume measures interception with TLS session
+// resumption on and off (proxy.Config.DisableTLSResume), on both sides of
+// the proxy. In "tunnel" every op is one request on a fresh CONNECT tunnel
+// through one long-lived proxy: each op pays a device-side handshake,
+// abbreviated when it resumes, while the upstream connection stays alive.
+// In "proxy-per-op" every op also builds a fresh proxy from one shared
+// proxy.Sessions, as the campaign runner does per experiment, so each op
+// pays an upstream handshake too. resumed/op is the share of device-side
+// handshakes that resumed.
 func BenchmarkAblationTLSResume(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "resume-on"
-		if disable {
-			name = "resume-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			eco, err := services.Start(services.Catalog()[:1])
-			if err != nil {
-				b.Fatal(err)
+	eco, err := services.Start(services.Catalog()[:1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eco.Close()
+	url := "https://" + eco.Catalog[0].Domain() + "/api/feed"
+	for _, mode := range []string{"tunnel", "proxy-per-op"} {
+		for _, disable := range []bool{false, true} {
+			name := mode + "/resume-on"
+			if disable {
+				name = mode + "/resume-off"
 			}
-			defer eco.Close()
-			ca, err := proxy.NewCA("bench CA")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var sink capture.CountingSink
-			px, err := proxy.New(proxy.Config{
-				CA: ca, Resolver: eco.Internet.Resolver,
-				OriginPool: eco.Internet.CA.Pool(), Sink: &sink,
-				DisableTLSResume: disable,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := px.Start(); err != nil {
-				b.Fatal(err)
-			}
-			defer px.Close()
-			trust := ca.Pool()
-			trust.AppendCertsFromPEM(eco.Internet.CA.CertPEM())
-			client := newBenchClient(px, trust)
-			url := "https://" + eco.Catalog[0].Domain() + "/api/feed"
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resp, err := client.Get(url)
+			b.Run(name, func(b *testing.B) {
+				ca, err := proxy.NewCA("bench CA")
 				if err != nil {
 					b.Fatal(err)
 				}
-				drain(resp)
-			}
-		})
+				sessions, err := proxy.NewSessions()
+				if err != nil {
+					b.Fatal(err)
+				}
+				trust := ca.Pool()
+				trust.AppendCertsFromPEM(eco.Internet.CA.CertPEM())
+				var sink capture.CountingSink
+				start := func() *proxy.Proxy {
+					px, err := proxy.New(proxy.Config{
+						CA: ca, Sessions: sessions, Resolver: eco.Internet.Resolver,
+						OriginPool: eco.Internet.CA.Pool(), Sink: &sink,
+						DisableTLSResume: disable,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := px.Start(); err != nil {
+						b.Fatal(err)
+					}
+					return px
+				}
+				// One device session cache for the whole run, as a phone
+				// keeps across connections.
+				deviceCache := tls.NewLRUClientSessionCache(64)
+				device := func(px *proxy.Proxy) *http.Client {
+					client := newBenchClient(px, trust)
+					client.Transport.(*http.Transport).TLSClientConfig.ClientSessionCache = deviceCache
+					return client
+				}
+				get := func(client *http.Client) {
+					resp, err := client.Get(url)
+					if err != nil {
+						b.Fatal(err)
+					}
+					drain(resp)
+				}
+				var tunnels, resumed int64
+				count := func(px *proxy.Proxy) {
+					px.Drain(time.Second)
+					st := px.Stats()
+					tunnels += st.Tunnels
+					resumed += st.TunnelsResumed
+				}
+				if mode == "tunnel" {
+					px := start()
+					defer px.Close()
+					client := device(px)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						get(client)
+					}
+					b.StopTimer()
+					count(px)
+				} else {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						px := start()
+						get(device(px))
+						b.StopTimer()
+						count(px)
+						b.StartTimer()
+						px.Close()
+					}
+				}
+				if tunnels > 0 {
+					b.ReportMetric(float64(resumed)/float64(tunnels), "resumed/op")
+				}
+			})
+		}
 	}
 }
 

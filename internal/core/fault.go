@@ -15,11 +15,17 @@ import (
 // fault-injection seam (FaultInjector). They name the fallible phases of
 // one experiment, in execution order.
 const (
-	StageProxy    = "proxy"    // proxy construction and listener start
+	StageProxy    = "proxy"    // proxy construction, listener start, and the capture drain
 	StageSession  = "session"  // the scripted device session
 	StageAnalysis = "analysis" // the §3.2 analysis pipeline
 	StageTrace    = "trace"    // persisting the per-experiment flow trace
 )
+
+// ErrDrainTimeout marks an attempt whose proxy still had tunnels open
+// past the drain window after the session ended: their flows may be
+// missing from the capture, so the attempt fails (retryably) rather than
+// yield a normal-looking result with flows left out.
+var ErrDrainTimeout = errors.New("proxy did not drain; flows may be missing from the capture")
 
 // ExperimentError is the typed failure of one experiment attempt. It
 // identifies the experiment (service × cell), the pipeline stage that

@@ -1,16 +1,22 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"appvsweb/internal/capture"
 	"appvsweb/internal/obs"
+	"appvsweb/internal/obs/trace"
+	"appvsweb/internal/proxy"
 	"appvsweb/internal/services"
 )
 
@@ -573,5 +579,64 @@ func TestCampaignJournalResume(t *testing.T) {
 		if !res.Excluded && res.TotalFlows == 0 {
 			t.Errorf("%s/%s/%s: no flows after resume", res.Service, res.OS, res.Medium)
 		}
+	}
+}
+
+// TestDrainTimeoutIsRetryableError: a proxy tunnel still open when the
+// drain window closes fails the attempt with a retryable ErrDrainTimeout,
+// counted and traced, instead of letting the runner snapshot a capture
+// that may be missing flows.
+func TestDrainTimeoutIsRetryableError(t *testing.T) {
+	reg := obs.New()
+	tr := trace.New(trace.Options{})
+	r := &Runner{Opts: Options{Metrics: reg, Tracer: tr}.withDefaults()}
+	ca, err := proxy.NewCA("drain CA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := capture.NewMemSink()
+	px, err := proxy.New(proxy.Config{CA: ca, Resolver: proxy.NewMapResolver(), Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := px.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+
+	if err := r.drainCapture(px, sink, 50*time.Millisecond, "s1", "svc/android/app"); err != nil {
+		t.Fatalf("idle proxy failed to drain: %v", err)
+	}
+	// A tunnel whose client never starts its TLS handshake keeps the
+	// proxy's tunnel goroutine alive for the whole handshake timeout.
+	conn, err := net.Dial("tcp", px.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "CONNECT stall.example:443 HTTP/1.1\r\nHost: stall.example:443\r\n\r\n")
+	if line, err := bufio.NewReader(conn).ReadString('\n'); err != nil || !strings.Contains(line, "200") {
+		t.Fatalf("CONNECT: %q %v", line, err)
+	}
+
+	err = r.drainCapture(px, sink, 50*time.Millisecond, "s1", "svc/android/app")
+	var xerr *ExperimentError
+	if !errors.As(err, &xerr) || xerr.Stage != StageProxy || !errors.Is(err, ErrDrainTimeout) {
+		t.Fatalf("err = %v, want a proxy-stage ErrDrainTimeout", err)
+	}
+	if !classifyRetryable(xerr.Stage, xerr.Err) {
+		t.Error("drain timeout classified fatal, want retryable")
+	}
+	if got := reg.Counter("campaign.drain_timeouts_total").Value(); got != 1 {
+		t.Errorf("campaign.drain_timeouts_total = %d, want 1", got)
+	}
+	var evs []trace.Event
+	for _, ev := range tr.Events() {
+		if ev.Type == trace.EvDrainTimeout {
+			evs = append(evs, ev)
+		}
+	}
+	if len(evs) != 1 || evs[0].Span != "s1" || evs[0].Attrs["client"] != "svc/android/app" || evs[0].Attrs["recorded"] != "0" {
+		t.Errorf("drain timeout events = %+v", evs)
 	}
 }

@@ -166,23 +166,32 @@ type Runner struct {
 	Eco  *services.Ecosystem
 	Opts Options
 
-	ca    *proxy.CA // shared interception CA (the installed profile)
-	trust *x509.CertPool
+	ca *proxy.CA // shared interception CA (the installed profile)
+	// sessions is the TLS session state every experiment's proxy shares,
+	// so device tunnels and upstream connections resume across them.
+	sessions *proxy.Sessions
+	trust    *x509.CertPool
 	// ids hands out campaign-unique flow IDs across every experiment's
 	// sink, so a bare flow ID names exactly one flow in traces.
 	ids *capture.IDSource
 }
 
-// NewRunner prepares a runner: it generates the interception CA and the
-// device trust store (platform roots + installed profile).
+// NewRunner prepares a runner: it generates the interception CA, the TLS
+// session state its proxies share, and the device trust store (platform
+// roots + installed profile).
 func NewRunner(eco *services.Ecosystem, opts Options) (*Runner, error) {
 	ca, err := proxy.NewCA("Meddle Interception CA")
 	if err != nil {
 		return nil, err
 	}
+	sessions, err := proxy.NewSessions()
+	if err != nil {
+		return nil, err
+	}
 	trust := ca.Pool()
 	trust.AppendCertsFromPEM(eco.Internet.CA.CertPEM())
-	return &Runner{Eco: eco, Opts: opts.withDefaults(), ca: ca, trust: trust, ids: &capture.IDSource{}}, nil
+	return &Runner{Eco: eco, Opts: opts.withDefaults(), ca: ca, sessions: sessions,
+		trust: trust, ids: &capture.IDSource{}}, nil
 }
 
 // experimentRun couples a result with the retained flows and detection
@@ -323,6 +332,7 @@ func (r *Runner) runExperimentSpanned(ctx context.Context, spec *services.Spec, 
 	identity := dev.Identity(device.NewAccount(spec.Key))
 	pxCfg := proxy.Config{
 		CA:         r.ca,
+		Sessions:   r.sessions,
 		Resolver:   r.Eco.Internet.Resolver,
 		OriginPool: r.Eco.Internet.CA.Pool(),
 		Sink:       sink,
@@ -407,10 +417,9 @@ func (r *Runner) runExperimentSpanned(ctx context.Context, spec *services.Spec, 
 		return nil, &ExperimentError{Stage: StageAnalysis, Err: err}
 	}
 	det := &Detector{Matcher: pii.NewMatcher(identity)}
-	// The session has closed its sockets and idle h2 connections, but the
-	// proxy-side tunnel goroutines record their flows only when they observe
-	// those closes — drain them before snapshotting the sink.
-	px.Drain(2 * time.Second)
+	if err := r.drainCapture(px, sink, drainTimeout, span, clientID); err != nil {
+		return nil, err
+	}
 	raw := sink.Flows()
 	analysisStage := tr.Stage(span, "analysis")
 	flows := r.analyze(spec, result, det, raw, span)
@@ -426,6 +435,27 @@ func (r *Runner) runExperimentSpanned(ctx context.Context, spec *services.Spec, 
 		}
 	}
 	return &experimentRun{result: result, flows: flows, det: det}, nil
+}
+
+// drainTimeout bounds the wait for an experiment's tunnels to record their
+// flows after its session ends.
+const drainTimeout = 2 * time.Second
+
+// drainCapture waits for px's tunnels to finish. The session has closed its
+// sockets and idle h2 connections, but the proxy-side tunnel goroutines
+// record their flows only when they observe those closes, so the sink is
+// complete only once they have all exited. A tunnel still open after the
+// timeout is a retryable ErrDrainTimeout, counted and traced: the sink
+// snapshot could be missing its flows.
+func (r *Runner) drainCapture(px *proxy.Proxy, sink *capture.MemSink, timeout time.Duration, span, clientID string) error {
+	if px.Drain(timeout) {
+		return nil
+	}
+	r.Opts.Metrics.Counter("campaign.drain_timeouts_total").Inc()
+	r.Opts.Tracer.Emit(trace.Event{Type: trace.EvDrainTimeout, Span: span, Attrs: map[string]string{
+		"client": clientID, "timeout": timeout.String(), "recorded": strconv.Itoa(sink.Len()),
+	}})
+	return &ExperimentError{Stage: StageProxy, Err: fmt.Errorf("core: %s: %w", clientID, ErrDrainTimeout)}
 }
 
 // TraceFileName names one experiment's persisted flow trace.

@@ -29,6 +29,7 @@ var descriptions = map[string]MetricDesc{
 	// internal/proxy
 	"proxy.requests_total":             {Type: "counter", Help: "Request/response exchanges served (plaintext + tunneled), across every proxy instance in the process."},
 	"proxy.tunnels_total":              {Type: "counter", Help: "CONNECT tunnels accepted."},
+	"proxy.tunnels_resumed_total":      {Type: "counter", Help: "CONNECT tunnels whose device-side TLS handshake resumed a session (abbreviated handshake; the resumed share is this over proxy.tunnels_total)."},
 	"proxy.tunnel_failures_total":      {Type: "counter", Help: "TLS-intercept failures: handshakes that failed or timed out, or tunnels aborted before the first request."},
 	"proxy.upstream_errors_total":      {Type: "counter", Help: "502s returned because the upstream dial or round-trip failed."},
 	"proxy.bytes_up_total":             {Type: "counter", Help: "Approximate request wire bytes through all proxies."},
@@ -68,19 +69,20 @@ var descriptions = map[string]MetricDesc{
 	"recon.eval_ns":           {Type: "histogram", Unit: "ns", Help: "One evaluation pass over labeled flows."},
 
 	// internal/core
-	"campaign.experiments_total": {Type: "counter", Help: "Experiments completed (including pinning exclusions)."},
-	"campaign.excluded_total":    {Type: "counter", Help: "Experiments excluded because certificate pinning prevented decryption."},
-	"campaign.retries":           {Type: "counter", Help: "Experiment attempts retried after a transient failure (exponential backoff)."},
-	"campaign.skipped":           {Type: "counter", Help: "Experiments dropped by the skip/retry-then-skip failure policies."},
-	"campaign.deadline_exceeded": {Type: "counter", Help: "Experiment attempts cut down by Options.ExperimentTimeout."},
-	"campaign.resumed":           {Type: "counter", Help: "Experiments replayed from a -resume journal instead of re-measured."},
-	"campaign.stale_resume":      {Type: "counter", Help: "Resume-journal records that matched no experiment in the current campaign spec; ignored."},
-	"campaign.flows_total":       {Type: "counter", Help: "Post-filter (foreground) flows analyzed."},
-	"campaign.leaks_total":       {Type: "counter", Help: "Leak records produced by the paper's 3.2 policy."},
-	"campaign.inflight":          {Type: "gauge", Help: "Experiments currently executing (bounded by Options.Parallelism)."},
-	"campaign.jobs":              {Type: "gauge", Help: "Total experiments in the running campaign (set once at campaign start)."},
-	"campaign.experiment_ns":     {Type: "histogram", Unit: "ns", Help: "Whole experiment: proxy boot, session, analysis, trace save."},
-	"stage":                      {Type: "histogram", Unit: "ns", Labels: []string{"stage"}, Help: "Pipeline stage wall time per experiment (session, filter, detect, categorize, recon)."},
+	"campaign.experiments_total":    {Type: "counter", Help: "Experiments completed (including pinning exclusions)."},
+	"campaign.excluded_total":       {Type: "counter", Help: "Experiments excluded because certificate pinning prevented decryption."},
+	"campaign.retries":              {Type: "counter", Help: "Experiment attempts retried after a transient failure (exponential backoff)."},
+	"campaign.skipped":              {Type: "counter", Help: "Experiments dropped by the skip/retry-then-skip failure policies."},
+	"campaign.deadline_exceeded":    {Type: "counter", Help: "Experiment attempts cut down by Options.ExperimentTimeout."},
+	"campaign.drain_timeouts_total": {Type: "counter", Help: "Experiment attempts failed (retryably) because the proxy still had tunnels open past the drain window, so the capture could be missing flows."},
+	"campaign.resumed":              {Type: "counter", Help: "Experiments replayed from a -resume journal instead of re-measured."},
+	"campaign.stale_resume":         {Type: "counter", Help: "Resume-journal records that matched no experiment in the current campaign spec; ignored."},
+	"campaign.flows_total":          {Type: "counter", Help: "Post-filter (foreground) flows analyzed."},
+	"campaign.leaks_total":          {Type: "counter", Help: "Leak records produced by the paper's 3.2 policy."},
+	"campaign.inflight":             {Type: "gauge", Help: "Experiments currently executing (bounded by Options.Parallelism)."},
+	"campaign.jobs":                 {Type: "gauge", Help: "Total experiments in the running campaign (set once at campaign start)."},
+	"campaign.experiment_ns":        {Type: "histogram", Unit: "ns", Help: "Whole experiment: proxy boot, session, analysis, trace save."},
+	"stage":                         {Type: "histogram", Unit: "ns", Labels: []string{"stage"}, Help: "Pipeline stage wall time per experiment (session, filter, detect, categorize, recon)."},
 
 	// internal/shard
 	"campaign.shards":           {Type: "gauge", Help: "Shard count of the running distributed campaign (set once by the coordinator)."},

@@ -49,6 +49,12 @@ const (
 	// configured idle window. Counted apart from tunnel failures.
 	EvTunnelIdle = "proxy.tunnel_idle"
 
+	// EvDrainTimeout marks an experiment whose proxy still had tunnels
+	// open past the drain window after its session ended (attrs: client,
+	// timeout, recorded: flows recorded so far). The attempt fails
+	// retryably instead of analyzing a capture that may be missing flows.
+	EvDrainTimeout = "proxy.drain_timeout"
+
 	// EvInlineVerdict records one inline-gateway verdict emitted live on
 	// the proxy hot path (docs/inline.md): attrs carry the destination
 	// host, the mitigation action (log/redact/block), the PII classes,

@@ -21,6 +21,10 @@ package pii
 //     loop is exactly one table read per content byte.
 //   - Output lists are pre-merged along fail chains: outputs[s] holds every
 //     needle ending at state s, including suffix needles.
+//   - Construction is paid once per experiment, so it allocates only flat
+//     arrays: the goto trie is first-child/next-sibling int32 lists, laid
+//     out once into the exactly sized dense table, and every output list
+//     is a window of one shared backing array.
 type automaton struct {
 	classOf    [256]uint16 // byte → class; 0 = "appears in no needle"
 	numClasses int
@@ -44,12 +48,17 @@ func foldByte(c byte) byte {
 
 func buildAutomaton(needles []needle) *automaton {
 	a := &automaton{}
+	folded := make([]string, len(needles))
+	maxStates := 1
+	for i := range needles {
+		folded[i] = foldNeedle(&needles[i])
+		maxStates += len(folded[i])
+	}
 
 	// Assign byte classes. Class 0 is reserved for bytes no needle
 	// contains; from any state such a byte can only lead back to the root.
 	nc := 1
-	for i := range needles {
-		t := foldNeedle(&needles[i])
+	for _, t := range folded {
 		for j := 0; j < len(t); j++ {
 			if b := t[j]; a.classOf[b] == 0 && nc < 257 {
 				a.classOf[b] = uint16(nc)
@@ -59,63 +68,87 @@ func buildAutomaton(needles []needle) *automaton {
 	}
 	a.numClasses = nc
 
-	// Build the goto trie.
-	type trieNode struct {
-		children map[uint16]int32
-		fail     int32
-		outs     []int32
-	}
-	nodes := []trieNode{{children: map[uint16]int32{}}}
-	for i := range needles {
-		t := foldNeedle(&needles[i])
+	// Build the goto trie as flat first-child/next-sibling lists: state s
+	// was entered on byte class label[s], its children are firstChild[s]
+	// and then the sibling chain. No per-state map or slice is allocated;
+	// the arrays are sized for the worst case (no shared prefixes) up front.
+	firstChild := make([]int32, 1, maxStates)
+	sibling := make([]int32, 1, maxStates)
+	label := make([]uint16, 1, maxStates)
+	firstChild[0] = -1
+	sibling[0] = -1
+	ends := make([]int32, len(needles)) // needle → state it ends at
+	for i, t := range folded {
 		s := int32(0)
 		for j := 0; j < len(t); j++ {
 			c := a.classOf[t[j]]
-			nx, ok := nodes[s].children[c]
-			if !ok {
-				nx = int32(len(nodes))
-				nodes = append(nodes, trieNode{children: map[uint16]int32{}})
-				nodes[s].children[c] = nx
+			nx := firstChild[s]
+			for nx >= 0 && label[nx] != c {
+				nx = sibling[nx]
+			}
+			if nx < 0 {
+				nx = int32(len(label))
+				firstChild = append(firstChild, -1)
+				sibling = append(sibling, firstChild[s])
+				label = append(label, c)
+				firstChild[s] = nx
 			}
 			s = nx
 		}
-		nodes[s].outs = append(nodes[s].outs, int32(i))
+		ends[i] = s
 	}
+	states := len(label)
 
-	// BFS: compute fail links, pre-merge outputs, and resolve the dense
-	// DFA row of each state. A state's fail has strictly smaller depth, so
-	// its row and merged outputs are always complete when needed.
-	a.next = make([]int32, len(nodes)*nc)
-	a.outputs = make([][]int32, len(nodes))
-	a.outputs[0] = nodes[0].outs
-	queue := make([]int32, 0, len(nodes))
-	for c := 0; c < nc; c++ {
-		if nx, ok := nodes[0].children[uint16(c)]; ok {
-			a.next[c] = nx
-			queue = append(queue, nx)
-		}
-	}
+	// BFS: compute fail links and resolve the dense DFA row of each state.
+	// A state's fail has strictly smaller depth, so its row is always
+	// complete when needed.
+	a.next = make([]int32, states*nc)
+	fail := make([]int32, states)
+	queue := make([]int32, 1, states)
 	for qi := 0; qi < len(queue); qi++ {
 		s := queue[qi]
-		n := &nodes[s]
-		f := n.fail
-		if fo := a.outputs[f]; len(fo) > 0 {
-			merged := make([]int32, 0, len(n.outs)+len(fo))
-			merged = append(merged, n.outs...)
-			a.outputs[s] = append(merged, fo...)
-		} else if len(n.outs) > 0 {
-			a.outputs[s] = n.outs
-		}
 		row := int(s) * nc
-		frow := int(f) * nc
-		for c := 0; c < nc; c++ {
-			if nx, ok := n.children[uint16(c)]; ok {
-				a.next[row+c] = nx
-				nodes[nx].fail = a.next[frow+c]
-				queue = append(queue, nx)
-			} else {
-				a.next[row+c] = a.next[frow+c]
+		frow := int(fail[s]) * nc
+		if s != 0 {
+			copy(a.next[row:row+nc], a.next[frow:frow+nc])
+		}
+		for ch := firstChild[s]; ch >= 0; ch = sibling[ch] {
+			c := int(label[ch])
+			if s != 0 {
+				fail[ch] = a.next[frow+c]
 			}
+			a.next[row+c] = ch
+			queue = append(queue, ch)
+		}
+	}
+
+	// Pre-merge outputs along fail chains into one shared backing array:
+	// outputs[s] is the needles ending at s (in needle order) followed by
+	// outputs[fail[s]]. Lengths resolve in BFS order, fail before state.
+	outLen := make([]int32, states)
+	for _, s := range ends {
+		outLen[s]++
+	}
+	total := int(outLen[0])
+	for _, s := range queue[1:] {
+		outLen[s] += outLen[fail[s]]
+		total += int(outLen[s])
+	}
+	backing := make([]int32, total)
+	a.outputs = make([][]int32, states)
+	off := 0
+	for _, s := range queue {
+		if k := int(outLen[s]); k > 0 {
+			a.outputs[s] = backing[off : off : off+k]
+			off += k
+		}
+	}
+	for i, s := range ends {
+		a.outputs[s] = append(a.outputs[s], int32(i))
+	}
+	for _, s := range queue[1:] {
+		if fo := a.outputs[fail[s]]; len(fo) > 0 {
+			a.outputs[s] = append(a.outputs[s], fo...)
 		}
 	}
 	return a

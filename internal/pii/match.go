@@ -87,8 +87,15 @@ const minNeedleLen = 3
 func NewMatcher(rec *Record) *Matcher {
 	m := &Matcher{}
 	encs := Encoders()
-	seen := make(map[string]bool)
-	for _, v := range rec.Values() {
+	// Dedup key: the encoding plus the needle text, folded for
+	// case-insensitive needles.
+	type needleKey struct {
+		enc  Encoding
+		text string
+	}
+	vals := rec.Values()
+	seen := make(map[needleKey]bool, len(vals)*len(encs))
+	for _, v := range vals {
 		for _, e := range encs {
 			t := e.Apply(v.Text)
 			if len(t) < minNeedleLen {
@@ -100,9 +107,9 @@ func NewMatcher(rec *Record) *Matcher {
 			// fold on pure-hex needles).
 			fold := e.Name == EncIdentity || e.Name == EncLower || e.Name == EncUpper ||
 				e.Name == EncURL || e.Name == EncHex || e.OneWay
-			key := string(e.Name) + "\x00" + t
+			key := needleKey{e.Name, t}
 			if fold {
-				key = string(e.Name) + "\x00" + asciiLower(t)
+				key.text = asciiLower(t)
 			}
 			if seen[key] {
 				continue

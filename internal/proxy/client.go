@@ -50,18 +50,16 @@ var ErrPinMismatch = fmt.Errorf("certificate pin mismatch")
 // server's certificate (the behaviour that excluded Facebook and Twitter
 // from the study, §3.1/§3.3). The chain must verify against the device
 // store and the leaf must match the pinned SHA-256 fingerprint; behind an
-// intercepting proxy the minted leaf cannot match, so requests fail.
+// intercepting proxy the minted leaf cannot match, so requests fail. The
+// pin is checked in VerifyConnection, which runs on resumed handshakes too,
+// so a session ticket can never carry a connection past it.
 func PinnedTransport(proxyURL *url.URL, trust *x509.CertPool, pinSHA256 string) *http.Transport {
 	t := ClientTransport(proxyURL, trust)
-	t.TLSClientConfig.VerifyPeerCertificate = func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
-		if len(rawCerts) == 0 {
+	t.TLSClientConfig.VerifyConnection = func(cs tls.ConnectionState) error {
+		if len(cs.PeerCertificates) == 0 {
 			return fmt.Errorf("%w: no certificate presented", ErrPinMismatch)
 		}
-		leaf, err := x509.ParseCertificate(rawCerts[0])
-		if err != nil {
-			return err
-		}
-		if got := Fingerprint(leaf); got != pinSHA256 {
+		if got := Fingerprint(cs.PeerCertificates[0]); got != pinSHA256 {
 			return fmt.Errorf("%w: got %s", ErrPinMismatch, got[:16])
 		}
 		return nil

@@ -100,7 +100,7 @@ func TestOversizedBodyTruncatedInRecord(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
-	f := sink.Flows()[0]
+	f := drained(t, p, sink.Flows)[0]
 	if len(f.RequestBody) != 1024 {
 		t.Errorf("recorded body = %d bytes, want truncated to 1024", len(f.RequestBody))
 	}
@@ -120,7 +120,7 @@ func TestProxyServesManySequentialTunnels(t *testing.T) {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		resp.Body.Close()
 	}
-	if got := w.sink.Len(); got != 120 {
+	if got := drained(t, w.proxy, w.sink.Len); got != 120 {
 		t.Errorf("flows = %d, want 120", got)
 	}
 }
@@ -171,7 +171,7 @@ func TestRewriterChangesUpstreamAndRecord(t *testing.T) {
 	if !strings.Contains(string(got), "scrubbed=1") || strings.Contains(string(got), "hunter2") {
 		t.Errorf("origin saw %q", got)
 	}
-	f := sink.Flows()[0]
+	f := drained(t, p, sink.Flows)[0]
 	if !f.Rewritten || strings.Contains(f.RequestBody, "hunter2") {
 		t.Errorf("flow record: rewritten=%v body=%q", f.Rewritten, f.RequestBody)
 	}

@@ -141,7 +141,7 @@ func TestInlineRedactGolden(t *testing.T) {
 	if strings.Contains(string(echoed), rec.Email) || strings.Contains(string(echoed), rec.Username) {
 		t.Fatalf("PII reached the origin: %q", echoed)
 	}
-	f := w.sink.Flows()[0]
+	f := drained(t, w.proxy, w.sink.Flows)[0]
 	if f.Inline == nil || f.Inline.Action != string(InlineRedact) || !f.Inline.Mitigated {
 		t.Fatalf("flow verdict = %+v", f.Inline)
 	}
@@ -230,7 +230,8 @@ func TestInlineBlockGolden(t *testing.T) {
 
 	// Provenance: the blocked flow records the original content, the match
 	// evidence (body hits with absolute stream offsets), and the verdict.
-	flows := w.sink.Flows()
+	tlsConn.Close()
+	flows := drained(t, w.proxy, w.sink.Flows)
 	if len(flows) != 2 {
 		t.Fatalf("flows = %d, want 2", len(flows))
 	}
@@ -278,7 +279,7 @@ func TestInlineLogObservesOnly(t *testing.T) {
 	if !strings.Contains(string(echoed), rec.Email) {
 		t.Errorf("log action modified content: %q", echoed)
 	}
-	f := w.sink.Flows()[0]
+	f := drained(t, w.proxy, w.sink.Flows)[0]
 	if f.Inline == nil || f.Inline.Action != "log" || f.Inline.Mitigated || f.Rewritten {
 		t.Errorf("flow = inline %+v rewritten %v", f.Inline, f.Rewritten)
 	}
@@ -301,7 +302,7 @@ func TestInlineCleanFlowUnannotated(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("clean flow blocked: %d", resp.StatusCode)
 	}
-	f := w.sink.Flows()[0]
+	f := drained(t, w.proxy, w.sink.Flows)[0]
 	if f.Inline != nil || f.Rewritten {
 		t.Errorf("clean flow annotated: %+v", f.Inline)
 	}
@@ -343,7 +344,7 @@ func TestInlineConcurrentRedact(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := w.sink.Len(); got != n {
+	if got := drained(t, w.proxy, w.sink.Len); got != n {
 		t.Errorf("flows = %d, want %d", got, n)
 	}
 	for _, f := range w.sink.Flows() {

@@ -84,7 +84,8 @@ func TestH2Interception(t *testing.T) {
 		}
 	}
 
-	flows := w.sink.Flows()
+	tr.CloseIdleConnections()
+	flows := drained(t, w.proxy, w.sink.Flows)
 	if len(flows) != 2 {
 		t.Fatalf("flows = %d, want 2", len(flows))
 	}
@@ -103,7 +104,7 @@ func TestH2Interception(t *testing.T) {
 		}
 	}
 
-	st := w.proxy.Stats()
+	st := drained(t, w.proxy, w.proxy.Stats)
 	if st.Tunnels != 1 {
 		t.Errorf("tunnels = %d, want 1 (multiplexed)", st.Tunnels)
 	}
@@ -119,7 +120,7 @@ func TestH1ClientsUnaffectedByALPN(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	f := w.sink.Flows()[0]
+	f := drained(t, w.proxy, w.sink.Flows)[0]
 	if f.Protocol != capture.HTTPS || f.StreamID != 0 {
 		t.Errorf("h1 flow: protocol=%q streamID=%d", f.Protocol, f.StreamID)
 	}
@@ -429,7 +430,7 @@ func TestBlockBytesUpAccounted(t *testing.T) {
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("status = %d, want 403", resp.StatusCode)
 	}
-	f := w.sink.Flows()[0]
+	f := drained(t, w.proxy, w.sink.Flows)[0]
 	if f.BytesUp < int64(len(body)) {
 		t.Errorf("blocked flow BytesUp = %d, want >= body size %d", f.BytesUp, len(body))
 	}

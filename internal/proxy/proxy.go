@@ -58,8 +58,14 @@ type Config struct {
 	// because by this point interception has demonstrably worked.
 	// Defaults to 5m; negative disables.
 	IdleTimeout time.Duration
-	// DisableTLSResume turns off the upstream TLS session cache; used by
-	// the ablation bench.
+	// Sessions is the TLS session state shared across tunnels and across
+	// proxies: the tunnels' session-ticket keys and the upstream session
+	// cache. A campaign runner passes one to every experiment's proxy. Nil
+	// makes a proxy-private one.
+	Sessions *Sessions
+	// DisableTLSResume turns off resumption on both sides: tunnels issue
+	// no session tickets and upstream connections use no session cache.
+	// Used by the ablation bench.
 	DisableTLSResume bool
 	// Rewriter, when set, may rewrite each intercepted request before it
 	// is forwarded upstream — the ReCon-style protection mode the paper's
@@ -111,6 +117,7 @@ type Proxy struct {
 
 	stats struct {
 		tunnels        atomic.Int64 // CONNECT tunnels accepted
+		tunnelsResumed atomic.Int64 // tunnels whose device handshake resumed
 		tunnelFailures atomic.Int64 // tunnels that died before a request
 		tunnelIdle     atomic.Int64 // established tunnels reaped for idleness
 		requests       atomic.Int64 // exchanges served (plain + tunneled)
@@ -128,6 +135,7 @@ type Proxy struct {
 type proxyMetrics struct {
 	requests       *obs.Counter
 	tunnels        *obs.Counter
+	tunnelsResumed *obs.Counter
 	tunnelFailures *obs.Counter
 	tunnelIdle     *obs.Counter
 	upstreamErrors *obs.Counter
@@ -153,6 +161,7 @@ func newProxyMetrics(reg *obs.Registry) proxyMetrics {
 	return proxyMetrics{
 		requests:           reg.Counter("proxy.requests_total"),
 		tunnels:            reg.Counter("proxy.tunnels_total"),
+		tunnelsResumed:     reg.Counter("proxy.tunnels_resumed_total"),
 		tunnelFailures:     reg.Counter("proxy.tunnel_failures_total"),
 		tunnelIdle:         reg.Counter("proxy.tunnel_idle_reaps_total"),
 		upstreamErrors:     reg.Counter("proxy.upstream_errors_total"),
@@ -172,6 +181,7 @@ func newProxyMetrics(reg *obs.Registry) proxyMetrics {
 // Stats is a snapshot of the proxy's operational counters.
 type Stats struct {
 	Tunnels        int64
+	TunnelsResumed int64 // tunnels whose device handshake resumed a session
 	TunnelFailures int64
 	TunnelIdle     int64 // established tunnels reaped by IdleTimeout
 	Requests       int64
@@ -184,6 +194,7 @@ type Stats struct {
 func (p *Proxy) Stats() Stats {
 	return Stats{
 		Tunnels:        p.stats.tunnels.Load(),
+		TunnelsResumed: p.stats.tunnelsResumed.Load(),
 		TunnelFailures: p.stats.tunnelFailures.Load(),
 		TunnelIdle:     p.stats.tunnelIdle.Load(),
 		Requests:       p.stats.requests.Load(),
@@ -221,9 +232,16 @@ func New(cfg Config) (*Proxy, error) {
 	} else if cfg.IdleTimeout < 0 {
 		cfg.IdleTimeout = 0
 	}
+	if cfg.Sessions == nil && !cfg.DisableTLSResume {
+		s, err := NewSessions()
+		if err != nil {
+			return nil, err
+		}
+		cfg.Sessions = s
+	}
 	tlsCfg := &tls.Config{RootCAs: cfg.OriginPool}
 	if !cfg.DisableTLSResume {
-		tlsCfg.ClientSessionCache = tls.NewLRUClientSessionCache(256)
+		tlsCfg.ClientSessionCache = cfg.Sessions.upstream
 	}
 	p := &Proxy{
 		cfg:     cfg,
@@ -417,10 +435,7 @@ func (p *Proxy) handleConnect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tlsConn := tls.Server(raw, &tls.Config{
-		GetCertificate: p.cfg.CA.GetCertificate(host),
-		NextProtos:     []string{"h2", "http/1.1"},
-	})
+	tlsConn := tls.Server(raw, p.tunnelConfig(host))
 	defer tlsConn.Close()
 	if err := tlsConn.HandshakeContext(r.Context()); err != nil {
 		reason := "handshake: " + err.Error()
@@ -439,7 +454,12 @@ func (p *Proxy) handleConnect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if tlsConn.ConnectionState().NegotiatedProtocol == "h2" {
+	cs := tlsConn.ConnectionState()
+	if cs.DidResume {
+		p.stats.tunnelsResumed.Add(1)
+		p.metrics.tunnelsResumed.Inc()
+	}
+	if cs.NegotiatedProtocol == "h2" {
 		p.serveH2Tunnel(tlsConn, raw, host)
 		return
 	}

@@ -104,6 +104,20 @@ func (w *testWorld) client() *http.Client {
 	}
 }
 
+// drained waits for every tunnel of p to finish and then takes a snapshot
+// (sink.Flows, Proxy.Stats, ...). A tunnel writes its response before it
+// records the flow and counts the exchange, so a client can hold the
+// response while that bookkeeping is still in flight; once the client has
+// closed its connection, Drain covers the gap. Callers close keep-alive
+// connections first.
+func drained[T any](t testing.TB, p *Proxy, snapshot func() T) T {
+	t.Helper()
+	if !p.Drain(5 * time.Second) {
+		t.Fatal("proxy tunnels did not drain")
+	}
+	return snapshot()
+}
+
 func echoHandler() http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
@@ -127,7 +141,7 @@ func TestHTTPSInterception(t *testing.T) {
 	if resp.Header.Get("X-Origin") != "yes" {
 		t.Error("origin header lost")
 	}
-	flows := w.sink.Flows()
+	flows := drained(t, w.proxy, w.sink.Flows)
 	if len(flows) != 1 {
 		t.Fatalf("flows = %d, want 1", len(flows))
 	}
@@ -155,7 +169,7 @@ func TestHTTPSBodyCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	f := w.sink.Flows()[0]
+	f := drained(t, w.proxy, w.sink.Flows)[0]
 	if f.Method != "POST" || !strings.Contains(f.RequestBody, `"password":"pw"`) {
 		t.Errorf("body not captured: %+v", f)
 	}
@@ -176,7 +190,7 @@ func TestPlainHTTPProxying(t *testing.T) {
 	if string(body) != "echo:GET:/p:" {
 		t.Errorf("body = %q", body)
 	}
-	f := w.sink.Flows()[0]
+	f := drained(t, w.proxy, w.sink.Flows)[0]
 	if f.Protocol != capture.HTTP || f.Intercepted {
 		t.Errorf("flow = %+v", f)
 	}
@@ -195,7 +209,7 @@ func TestUpstreamDownHTTPS(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Errorf("status = %d, want 502", resp.StatusCode)
 	}
-	f := w.sink.Flows()[0]
+	f := drained(t, w.proxy, w.sink.Flows)[0]
 	if f.Status != http.StatusBadGateway || f.ResponseHeaders["X-Proxy-Error"] == "" {
 		t.Errorf("flow = %+v", f)
 	}
@@ -266,9 +280,9 @@ func TestPinnedTransportAcceptsDirectOrigin(t *testing.T) {
 	pin := Fingerprint(leaf.Leaf)
 	tr := &http.Transport{
 		TLSClientConfig: &tls.Config{
-			RootCAs:               originCA.Pool(),
-			ServerName:            "direct.example",
-			VerifyPeerCertificate: PinnedTransport(&url.URL{Scheme: "http", Host: "unused"}, originCA.Pool(), pin).TLSClientConfig.VerifyPeerCertificate,
+			RootCAs:          originCA.Pool(),
+			ServerName:       "direct.example",
+			VerifyConnection: PinnedTransport(&url.URL{Scheme: "http", Host: "unused"}, originCA.Pool(), pin).TLSClientConfig.VerifyConnection,
 		},
 	}
 	client := &http.Client{Transport: tr, Timeout: 5 * time.Second}
@@ -311,7 +325,7 @@ func TestVirtualClockStampsFlows(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := sink.Flows()[0].Start; !got.Equal(fixed) {
+	if got := drained(t, p, sink.Flows)[0].Start; !got.Equal(fixed) {
 		t.Errorf("flow time = %v, want %v", got, fixed)
 	}
 }
@@ -340,7 +354,7 @@ func TestConcurrentRequests(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := w.sink.Len(); got != 32 {
+	if got := drained(t, w.proxy, w.sink.Len); got != 32 {
 		t.Errorf("flows = %d, want 32", got)
 	}
 }
@@ -503,7 +517,7 @@ func TestProxyStats(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	s := w.proxy.Stats()
+	s := drained(t, w.proxy, w.proxy.Stats)
 	if s.Tunnels != 4 {
 		t.Errorf("tunnels = %d, want 4", s.Tunnels)
 	}
