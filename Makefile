@@ -27,9 +27,9 @@ GATED_BENCH_FILES = $(foreach s,$(GATED_BENCH_SUITES),BENCH_$(s).json)
 # machine-speed shift). benchcheck's own default is the strict 0.20 —
 # usable on quiet dedicated hardware. The Makefile default is looser
 # because shared/bursty hosts show ±30% per-benchmark phases even with
-# min-of-N sampling; the regressions this gate guards (scan engine
-# bypassed, classification cache broken) are 5–10x, far above either
-# setting. Tighten with `make bench-check BENCH_TOLERANCE=0.20`.
+# min-of-N sampling; the regressions this gate guards (e.g. the scan
+# engine bypassed) are 5–10x, far above either setting. Tighten with
+# `make bench-check BENCH_TOLERANCE=0.20`.
 BENCH_TOLERANCE ?= 0.40
 
 .PHONY: build test short race race-fault vet fmt check bench bench-micro \
@@ -49,7 +49,7 @@ short:
 
 ## race: race-detect the concurrency-heavy packages (obs registry, campaign
 ## runner incl. the fault-injection suite and journal repair, the scan
-## engine + classification caches, the artifact engine's cache /
+## engine + the destination categorizer, the artifact engine's cache /
 ## singleflight / live-tailing paths, the WebSocket frame codec the
 ## two-pump relay is built on, and the shard coordinator's lease
 ## watchdog / reassignment machinery incl. the kill-and-reassign

@@ -66,7 +66,14 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	cat := domains.NewCategorizer(easylist.NewHostCache(easylist.Bundled(), 0).MatchHost)
+	list := easylist.Bundled()
+	cat := domains.NewCategorizer(func(host string) (string, bool) {
+		r, ok := list.MatchHostRule(host)
+		if !ok {
+			return "", false
+		}
+		return r.Raw, true
+	})
 	if *firstParty != "" {
 		for _, d := range strings.Split(*firstParty, ",") {
 			cat.RegisterFirstParty("you", strings.TrimSpace(d))

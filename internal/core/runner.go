@@ -511,15 +511,12 @@ func captureEvent(span string, f *capture.Flow) trace.Event {
 }
 
 func analyzeFlows(metrics *obs.Registry, tr *trace.Tracer, span string, cat *domains.Categorizer, disableBGFilter bool, serviceKey string, result *ExperimentResult, det *Detector, flows []*capture.Flow) []*capture.Flow {
-	isBackground := func(host string) bool {
-		return cat.Categorize(serviceKey, host) == domains.Background
-	}
 	filterSpan := metrics.HistogramVec("stage", "ns", "stage").WithLabelValues("filter").Span()
 	var kept, dropped []*capture.Flow
 	if disableBGFilter {
 		kept = flows
 	} else {
-		kept, dropped = capture.FilterBackground(flows, isBackground)
+		kept, dropped = capture.FilterBackground(flows, cat.IsBackground)
 	}
 	filterSpan.End()
 	result.TotalFlows = len(kept)
@@ -566,7 +563,7 @@ func analyzeFlows(metrics *obs.Registry, tr *trace.Tracer, span string, cat *dom
 	for i, f := range kept {
 		result.TotalBytes += f.Bytes()
 		catStart := time.Now()
-		fcat, fromCache := cat.CategorizeInfo(serviceKey, f.Host)
+		fcat, aaRule := cat.CategorizeRule(serviceKey, f.Host)
 		reg := domains.ETLDPlusOne(f.Host)
 		categorizeNS += time.Since(catStart)
 		if fcat == domains.AdvertisingAnalytics {
@@ -574,29 +571,16 @@ func analyzeFlows(metrics *obs.Registry, tr *trace.Tracer, span string, cat *dom
 			result.AAFlows++
 			result.AABytes += f.Bytes()
 		}
-		aaRule := ""
 		if tr.Enabled() {
 			tr.Emit(captureEvent(span, f))
 			tr.Emit(trace.Event{Type: trace.EvFlowFilter, Span: span, Flow: f.ID, Attrs: map[string]string{
 				"decision": "kept", "reason": filterReason,
 			}})
 			catAttrs := map[string]string{"category": fcat.String(), "domain": reg}
-			if fromCache {
-				catAttrs["cache"] = "hit"
-			} else {
-				catAttrs["cache"] = "miss"
-			}
-			if fcat == domains.AdvertisingAnalytics {
-				if rule, ok := cat.AARule(f.Host); ok {
-					catAttrs["rule"] = rule
-					aaRule = rule
-				}
+			if aaRule != "" {
+				catAttrs["rule"] = aaRule
 			}
 			tr.Emit(trace.Event{Type: trace.EvFlowCategorize, Span: span, Flow: f.ID, Attrs: catAttrs})
-		} else if fcat == domains.AdvertisingAnalytics {
-			if rule, ok := cat.AARule(f.Host); ok {
-				aaRule = rule
-			}
 		}
 		if !f.Intercepted && f.Protocol == capture.HTTPS {
 			// pinned tunnel metadata: no content to analyze

@@ -1,12 +1,6 @@
 package domains
 
-import (
-	"sort"
-	"strings"
-	"sync"
-
-	"appvsweb/internal/obs"
-)
+import "sync"
 
 // Category labels a flow destination the way the paper's methodology does.
 type Category int
@@ -69,79 +63,32 @@ var BackgroundDomains = []string{
 
 // Categorizer labels hosts. It combines a first-party registry (service →
 // owned registrable domains), an SSO list, an A&A matcher (EasyList), and
-// the background list. Lookup results are memoized in a sharded, bounded
-// (service, host) → category cache (docs/performance.md); the categorizer
-// is safe for concurrent use. Cache hit/miss/eviction counts are
-// registered in internal/obs (domains.catcache.*, docs/metrics.md).
+// the background list. Every lookup walks the tables and the matcher
+// directly (docs/performance.md); the categorizer is safe for concurrent
+// use, including registrations that race lookups.
 type Categorizer struct {
 	mu         sync.RWMutex
 	firstParty map[string]string // eTLD+1 → service key
 	sso        map[string]bool   // eTLD+1 → true
 	background map[string]bool   // eTLD+1 → true
-	aa         func(host string) bool
-	aaExplain  func(host string) (string, bool)
-
-	maxPerShard int
-	shards      [catShards]catShard
-
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
+	aa         func(host string) (rule string, ok bool)
 }
 
-const catShards = 16
-
-// DefaultCacheSize bounds the categorizer cache when no size is set: a
-// campaign sees (services × distinct hosts) keys, comfortably below this;
-// an adversarial host stream pays evictions instead of growing memory.
-const DefaultCacheSize = 8192
-
-type catShard struct {
-	mu sync.Mutex
-	m  map[string]Category
-}
-
-// NewCategorizer builds a categorizer. aaMatcher may be nil, in which case
-// no host is labeled A&A (useful for ablation runs).
-func NewCategorizer(aaMatcher func(host string) bool) *Categorizer {
+// NewCategorizer builds a categorizer. aa reports whether a host is A&A and
+// names the rule that says so (leak provenance, flow.categorize trace
+// events). It may be nil, in which case no host is labeled A&A (useful for
+// ablation runs).
+func NewCategorizer(aa func(host string) (rule string, ok bool)) *Categorizer {
 	c := &Categorizer{
-		firstParty:  make(map[string]string),
-		sso:         make(map[string]bool),
-		background:  make(map[string]bool),
-		aa:          aaMatcher,
-		maxPerShard: (DefaultCacheSize + catShards - 1) / catShards,
-		hits:        obs.Default.Counter("domains.catcache.hits_total"),
-		misses:      obs.Default.Counter("domains.catcache.misses_total"),
-		evictions:   obs.Default.Counter("domains.catcache.evictions_total"),
-	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]Category)
+		firstParty: make(map[string]string),
+		sso:        make(map[string]bool),
+		background: make(map[string]bool),
+		aa:         aa,
 	}
 	for _, d := range BackgroundDomains {
 		c.background[ETLDPlusOne(d)] = true
 	}
 	return c
-}
-
-// SetAAExplain installs the attribution hook behind the A&A matcher: given
-// a host the matcher labeled A&A, it names the concrete EasyList rule that
-// fired. Used for leak provenance; categorization itself never calls it.
-func (c *Categorizer) SetAAExplain(fn func(host string) (string, bool)) {
-	c.mu.Lock()
-	c.aaExplain = fn
-	c.mu.Unlock()
-}
-
-// AARule attributes an A&A host to its EasyList rule, when an explain hook
-// is installed ("" otherwise).
-func (c *Categorizer) AARule(host string) (string, bool) {
-	c.mu.RLock()
-	fn := c.aaExplain
-	c.mu.RUnlock()
-	if fn == nil {
-		return "", false
-	}
-	return fn(host)
 }
 
 // RegisterFirstParty associates one or more domains (any subdomain of their
@@ -152,7 +99,6 @@ func (c *Categorizer) RegisterFirstParty(service string, hosts ...string) {
 	for _, h := range hosts {
 		c.firstParty[ETLDPlusOne(h)] = service
 	}
-	c.invalidate()
 }
 
 // RegisterSSO marks a domain as a single sign-on provider.
@@ -162,7 +108,6 @@ func (c *Categorizer) RegisterSSO(hosts ...string) {
 	for _, h := range hosts {
 		c.sso[ETLDPlusOne(h)] = true
 	}
-	c.invalidate()
 }
 
 // RegisterBackground adds extra OS/background domains.
@@ -172,143 +117,55 @@ func (c *Categorizer) RegisterBackground(hosts ...string) {
 	for _, h := range hosts {
 		c.background[ETLDPlusOne(h)] = true
 	}
-	c.invalidate()
 }
 
-func (c *Categorizer) invalidate() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[string]Category)
-		sh.mu.Unlock()
-	}
-}
-
-// FirstPartyOf returns the service key owning host, if any.
-func (c *Categorizer) FirstPartyOf(host string) (string, bool) {
+// IsBackground reports whether host is OS/background traffic: the first
+// check Categorize makes, answered from the table alone (§3.2
+// "Filtering").
+func (c *Categorizer) IsBackground(host string) bool {
+	reg := ETLDPlusOne(host)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	svc, ok := c.firstParty[ETLDPlusOne(host)]
-	return svc, ok
+	return c.background[reg]
 }
 
 // Categorize labels a destination host relative to the service under test.
-// Order matters and mirrors the paper: background filtering first, then
-// first-party association, then SSO, then EasyList A&A, else other third
-// party.
 func (c *Categorizer) Categorize(service, host string) Category {
-	cat, _ := c.CategorizeInfo(service, host)
+	cat, _ := c.CategorizeRule(service, host)
 	return cat
 }
 
-// CategorizeInfo is Categorize plus cache provenance: cached reports
-// whether the verdict came from the memo (the runner surfaces this as the
-// "cache" attr of flow.categorize trace events, docs/tracing.md).
-func (c *Categorizer) CategorizeInfo(service, host string) (cat Category, cached bool) {
-	key := service + "\x00" + host
-	sh := &c.shards[fnv32(key)%catShards]
-	sh.mu.Lock()
-	if cat, ok := sh.m[key]; ok {
-		sh.mu.Unlock()
-		c.hits.Inc()
-		return cat, true
-	}
-	sh.mu.Unlock()
-	c.misses.Inc()
-
-	cat = c.categorize(service, host)
-
-	sh.mu.Lock()
-	if _, exists := sh.m[key]; !exists {
-		if len(sh.m) >= c.maxPerShard {
-			// Full shard: evict one arbitrary resident so the cache stays
-			// bounded under adversarial host streams.
-			for k := range sh.m {
-				delete(sh.m, k)
-				c.evictions.Inc()
-				break
-			}
-		}
-		sh.m[key] = cat
-	}
-	sh.mu.Unlock()
-	return cat, false
-}
-
-// CacheLen reports resident cache entries across all shards.
-func (c *Categorizer) CacheLen() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// fnv32 is FNV-1a, used only to pick a shard.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func (c *Categorizer) categorize(service, host string) Category {
+// CategorizeRule is Categorize plus attribution: for an A&A destination it
+// also returns the EasyList rule that fired ("" otherwise). Order matters
+// and mirrors the paper: background filtering first, then first-party
+// association, then SSO, then EasyList A&A, else other third party. The
+// host is normalized once (case, trailing dot, port), and the tables and
+// the A&A matcher all see that same form.
+func (c *Categorizer) CategorizeRule(service, host string) (Category, string) {
+	host = normalizeHost(host)
 	reg := ETLDPlusOne(host)
 	c.mu.RLock()
 	bg := c.background[reg]
 	owner, owned := c.firstParty[reg]
 	sso := c.sso[reg]
-	aa := c.aa
 	c.mu.RUnlock()
 
 	switch {
 	case bg:
-		return Background
+		return Background, ""
 	case owned && owner == service:
-		return FirstParty
+		return FirstParty, ""
 	case sso:
-		return SSO
-	case aa != nil && aa(host):
-		return AdvertisingAnalytics
-	case owned: // some other service's domain: a third party here
-		return OtherThirdParty
-	case host == "":
-		return Unknown
-	default:
-		return OtherThirdParty
+		return SSO, ""
 	}
-}
-
-// Services returns the registered service keys in sorted order.
-func (c *Categorizer) Services() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	set := make(map[string]bool)
-	for _, svc := range c.firstParty {
-		set[svc] = true
+	if c.aa != nil {
+		if rule, ok := c.aa(host); ok {
+			return AdvertisingAnalytics, rule
+		}
 	}
-	out := make([]string, 0, len(set))
-	for svc := range set {
-		out = append(out, svc)
+	if host == "" && !owned {
+		return Unknown, ""
 	}
-	sort.Strings(out)
-	return out
-}
-
-// IsLocalhost reports whether the host is a loopback name. The simulated
-// ecosystem runs on loopback; naming still flows through Host headers and
-// SNI, but raw 127.0.0.1 dials are treated as unknown infrastructure.
-func IsLocalhost(host string) bool {
-	h := strings.ToLower(strings.TrimSuffix(host, "."))
-	if h == "::1" || h == "[::1]" {
-		return true
-	}
-	h = normalizeHost(h)
-	return h == "localhost" || h == "127.0.0.1" ||
-		strings.HasSuffix(h, ".localhost")
+	// Includes some other service's domain: a third party here.
+	return OtherThirdParty, ""
 }

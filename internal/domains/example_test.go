@@ -19,8 +19,8 @@ func ExampleETLDPlusOne() {
 // The categorizer labels each destination the way §3.2 does: background
 // first, then first-party association, SSO, EasyList, else third party.
 func ExampleCategorizer_Categorize() {
-	cat := domains.NewCategorizer(func(host string) bool {
-		return host == "tracker.example"
+	cat := domains.NewCategorizer(func(host string) (string, bool) {
+		return "||tracker.example^", host == "tracker.example"
 	})
 	cat.RegisterFirstParty("weather", "weather.example", "wxcdn.example")
 

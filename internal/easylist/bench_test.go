@@ -38,39 +38,8 @@ func BenchmarkMatchHostMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkHostCacheRepeat is the acceptance benchmark for memoized A&A
-// classification: a campaign-shaped workload where the same destination
-// hosts recur over and over. "cached" goes through the HostCache (the
-// runner's path); "uncached" re-walks the list every time (the old path).
-// The cached sub-benchmark is what bench_baseline.json guards.
-func BenchmarkHostCacheRepeat(b *testing.B) {
-	list := Bundled()
-	var hosts []string
-	for _, name := range AllAANames() {
-		hosts = append(hosts, "cdn."+name+"-sim.example")
-	}
-	hosts = append(hosts, "www.weathernow-sim.example", "api.news-sim.example")
-	b.Run("cached", func(b *testing.B) {
-		hc := NewHostCache(list, 0)
-		for _, h := range hosts { // warm: a campaign sees each host early
-			hc.MatchHost(h)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			hc.MatchHost(hosts[i%len(hosts)])
-		}
-	})
-	b.Run("uncached", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			list.MatchHost(hosts[i%len(hosts)])
-		}
-	})
-}
-
-// BenchmarkMatchHostRule measures rule attribution (which rule fired) —
-// the provenance path, typically off the hot loop.
+// BenchmarkMatchHostRule measures the verdict plus rule attribution (which
+// rule fired): the call the categorizer makes for each kept flow.
 func BenchmarkMatchHostRule(b *testing.B) {
 	list := Bundled()
 	host := ""

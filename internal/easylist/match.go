@@ -32,16 +32,8 @@ func (l *List) MatchHost(host string) bool {
 
 // MatchHostRule is MatchHost with attribution: it returns the block rule
 // that classified the host as A&A, for leak provenance and trace events.
-// The host is normalized exactly once; repeat classifications should go
-// through a HostCache, whose cached path skips even that.
 func (l *List) MatchHostRule(host string) (*Rule, bool) {
-	return l.matchHostFolded(strings.ToLower(host))
-}
-
-// matchHostFolded is the canonical-URL probe behind MatchHostRule and
-// HostCache. The host must already be lowercase: normalization is hoisted
-// to the caller so the cached path never re-folds a repeat host.
-func (l *List) matchHostFolded(host string) (*Rule, bool) {
+	host = strings.ToLower(host)
 	req := Request{
 		URL:        "http://" + host + "/",
 		Host:       host,

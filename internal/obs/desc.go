@@ -53,16 +53,6 @@ var descriptions = map[string]MetricDesc{
 	"pii.match.hits":         {Type: "counter", Labels: []string{"encoding"}, Help: "Needle hits by wire encoding (identity, base64, md5, ...)."},
 	"pii.stream.bytes_total": {Type: "counter", Help: "Bytes consumed by StreamScanner writes (the streaming detection workload volume)."},
 
-	// internal/easylist
-	"easylist.hostcache.hits_total":      {Type: "counter", Help: "Host-to-A&A-verdict lookups answered from the HostCache memo without walking the rule list."},
-	"easylist.hostcache.misses_total":    {Type: "counter", Help: "Lookups that fell through to a full List match (the verdict is then cached)."},
-	"easylist.hostcache.evictions_total": {Type: "counter", Help: "Resident verdicts evicted because an insert pushed the cache past its size bound."},
-
-	// internal/domains
-	"domains.catcache.hits_total":      {Type: "counter", Help: "(service, host)-to-category lookups answered from the Categorizer memo."},
-	"domains.catcache.misses_total":    {Type: "counter", Help: "Categorizations computed from scratch (suffix walk + EasyList probe), then cached."},
-	"domains.catcache.evictions_total": {Type: "counter", Help: "Cached categories evicted by the per-shard size bound."},
-
 	// internal/recon
 	"recon.train.flows_total": {Type: "counter", Help: "Labeled flows fed to classifier training (cumulative over Train calls)."},
 	"recon.train_ns":          {Type: "histogram", Unit: "ns", Help: "One classifier training pass."},

@@ -83,13 +83,8 @@ func Start(catalog []*Spec) (*Ecosystem, error) {
 // registrations, the SSO provider, and the simulated OS domains. Used by
 // Start and by trace replay (re-analysis of persisted flows).
 func BuildCategorizer(catalog []*Spec) *domains.Categorizer {
-	// The host cache sits under the categorizer's own (service, host)
-	// memo: the categorizer dedupes repeat lookups per service, the host
-	// cache dedupes the expensive EasyList walk across services and across
-	// AARule provenance lookups (docs/performance.md).
-	list := easylist.NewHostCache(easylist.Bundled(), 0)
-	c := domains.NewCategorizer(list.MatchHost)
-	c.SetAAExplain(func(host string) (string, bool) {
+	list := easylist.Bundled()
+	c := domains.NewCategorizer(func(host string) (string, bool) {
 		r, ok := list.MatchHostRule(host)
 		if !ok {
 			return "", false

@@ -314,8 +314,10 @@ func TestEcosystemStartAndRouting(t *testing.T) {
 	if got := eco.Categorizer.Categorize("docuscan", "docuscan-sim.example"); got.String() != "first-party" {
 		t.Errorf("first party = %v", got)
 	}
-	if got := eco.Categorizer.Categorize("docuscan", "criteo-sim.example"); got.String() != "a&a" {
-		t.Errorf("tracker = %v", got)
+	for _, h := range []string{"criteo-sim.example", "cdn.criteo-sim.example.", "cdn.criteo-sim.example:443"} {
+		if got := eco.Categorizer.Categorize("docuscan", h); got.String() != "a&a" {
+			t.Errorf("tracker %q = %v", h, got)
+		}
 	}
 	if got := eco.Categorizer.Categorize("docuscan", "gigya-sim.example"); got.String() != "other-third-party" {
 		t.Errorf("gigya = %v", got)
