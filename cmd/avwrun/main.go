@@ -207,7 +207,6 @@ func main() {
 			lease:     *shardLease,
 			worker:    *shardWorker,
 			out:       *out,
-			scale:     *scale,
 			report:    *report,
 			startedAt: time.Now(),
 		})
@@ -299,7 +298,6 @@ type shardedConfig struct {
 	lease     time.Duration
 	worker    int
 	out       string
-	scale     float64
 	report    bool
 	startedAt time.Time
 }
@@ -364,9 +362,7 @@ func runSharded(eco *services.Ecosystem, catalog []*services.Spec, opts core.Opt
 	if err != nil {
 		fatalf("sharded campaign: %v\nper-shard journals survive in %s; rerun with the same -shard-dir to resume", err, dir)
 	}
-	ds := analysis.JournalSetDataset(merged, cfg.scale)
-	ds.Meta.GeneratedAt = time.Now()
-	ds.Meta.Duration = time.Since(cfg.startedAt)
+	ds := merged.Dataset(core.Meta{GeneratedAt: time.Now(), Scale: opts.Scale, Duration: opts.Duration})
 	fmt.Fprintf(os.Stderr, "sharded campaign complete: %d experiments across %d shards in %v\n",
 		len(ds.Results), cfg.shards, time.Since(cfg.startedAt).Round(time.Millisecond))
 	for _, f := range ds.Meta.Failures {

@@ -3,15 +3,12 @@ package analysis
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"appvsweb/internal/core"
-	"appvsweb/internal/services"
 )
 
 // Incremental mode: instead of waiting for a campaign to finish and
@@ -19,52 +16,20 @@ import (
 // journal (core.Journal JSONL) while it is still being written. Each
 // completed experiment record folds into a running partial dataset; the
 // handle's generation bumps and only the artifacts whose views actually
-// changed recompute. The fold is the same keep-last, (service, OS, medium)-
-// sorted order core.JournalSet.Records uses, so a live tail that has seen
-// the whole journal produces byte-identical artifacts to a cold load of
-// the same file — the differential property live_test.go pins.
+// changed recompute. The fold is a core.JournalSet, the same one a cold
+// load builds, so a live tail that has seen the whole journal produces
+// byte-identical artifacts to a cold load of the same file — the
+// differential property live_test.go pins.
 
 // JournalDataset folds a campaign journal into a (possibly partial)
-// dataset: one result per journaled experiment, keep-last on re-appends,
-// skipped experiments contributing their excluded placeholder plus a
-// failure record. Scale is recorded in Meta (the journal does not carry
-// it).
+// dataset with core.JournalSet.Dataset. Scale is recorded in Meta (the
+// journal does not carry it).
 func JournalDataset(path string, scale float64) (*core.Dataset, error) {
 	set, err := core.LoadJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	return datasetFromRecords(set.Records(), scale), nil
-}
-
-// JournalSetDataset folds an already-loaded (possibly merged) journal
-// set into a dataset, exactly as JournalDataset does for one file. The
-// sharded campaign path builds its merged dataset through this fold, so
-// a merge of per-shard journals and a cold load of a single-process
-// journal render identical reports.
-func JournalSetDataset(set *core.JournalSet, scale float64) *core.Dataset {
-	return datasetFromRecords(set.Records(), scale)
-}
-
-// datasetFromRecords is the shared fold: records must already be in
-// keep-last, (service, OS, medium)-sorted order.
-func datasetFromRecords(recs []core.JournalRecord, scale float64) *core.Dataset {
-	ds := &core.Dataset{Meta: core.Meta{Scale: scale}}
-	seen := make(map[string]bool)
-	for _, rec := range recs {
-		if rec.Result != nil {
-			ds.Results = append(ds.Results, rec.Result)
-			seen[rec.Service] = true
-		}
-		if rec.Skipped {
-			ds.Meta.Failures = append(ds.Meta.Failures, core.FailureRecord{
-				Service: rec.Service, OS: rec.OS, Medium: rec.Medium,
-				Stage: rec.Stage, Attempts: rec.Attempts, Error: rec.Error,
-			})
-		}
-	}
-	ds.Meta.Services = len(seen)
-	return ds
+	return set.Dataset(core.Meta{Scale: scale}), nil
 }
 
 // LiveOptions configure a journal tail.
@@ -86,9 +51,9 @@ type LiveTail struct {
 	interval time.Duration
 
 	// Tail state: offset is the byte position up to which complete lines
-	// have been consumed; recs is the keep-last fold so far.
+	// have been consumed; set is the keep-last fold so far.
 	offset int64
-	recs   map[string]core.JournalRecord
+	set    core.JournalSet
 	// Replacement detection: fileID is the FileInfo of the journal as last
 	// consumed (os.SameFile catches a renamed-in replacement on a new
 	// inode), and firstLine is the journal's first complete line including
@@ -107,12 +72,10 @@ func (e *Engine) TailJournal(name, path string, opts LiveOptions) *LiveTail {
 	if opts.Interval <= 0 {
 		opts.Interval = 500 * time.Millisecond
 	}
-	h := e.Register(name, datasetFromRecords(nil, opts.Scale))
-	h.live = true
-	return &LiveTail{
-		h: h, path: path, scale: opts.Scale, interval: opts.Interval,
-		recs: make(map[string]core.JournalRecord),
-	}
+	t := &LiveTail{path: path, scale: opts.Scale, interval: opts.Interval}
+	t.h = e.Register(name, t.set.Dataset(core.Meta{Scale: opts.Scale}))
+	t.h.live = true
+	return t
 }
 
 // Handle returns the live handle artifacts are requested from.
@@ -147,7 +110,7 @@ func (t *LiveTail) Poll() (bool, error) {
 		return false, err
 	} else if replaced {
 		t.offset = 0
-		t.recs = make(map[string]core.JournalRecord)
+		t.set = core.JournalSet{}
 		t.fileID = nil
 		t.firstLine = nil
 		metrics.Counter("analysis.live.resets_total").Inc()
@@ -185,14 +148,14 @@ func (t *LiveTail) Poll() (bool, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var rec core.JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil || (rec.Result == nil && !rec.Skipped) {
+		rec, err := core.DecodeJournalRecord(line)
+		if err != nil {
 			// A complete-but-undecodable line; skip it, as LoadJournal
 			// tolerates a torn final line and CreateJournal repairs it.
 			metrics.Counter("analysis.live.bad_lines_total").Inc()
 			continue
 		}
-		t.recs[core.ExperimentKey(rec.Service, services.Cell{OS: rec.OS, Medium: rec.Medium})] = rec
+		t.set.Add(rec)
 		metrics.Counter("analysis.live.records_total").Inc()
 		changed = true
 	}
@@ -201,23 +164,9 @@ func (t *LiveTail) Poll() (bool, error) {
 		return false, nil
 	}
 
-	recs := make([]core.JournalRecord, 0, len(t.recs))
-	for _, rec := range t.recs {
-		recs = append(recs, rec)
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Service != b.Service {
-			return a.Service < b.Service
-		}
-		if a.OS != b.OS {
-			return a.OS < b.OS
-		}
-		return a.Medium < b.Medium
-	})
-	t.h.Update(datasetFromRecords(recs, t.scale))
+	t.h.Update(t.set.Dataset(core.Meta{Scale: t.scale}))
 	metrics.Counter("analysis.live.folds_total").Inc()
-	metrics.Gauge("analysis.live.experiments").Set(int64(len(t.recs)))
+	metrics.Gauge("analysis.live.experiments").Set(int64(t.set.Len()))
 	return true, nil
 }
 

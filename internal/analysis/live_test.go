@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"appvsweb/internal/core"
@@ -252,6 +253,72 @@ func TestJournalDatasetKeepLast(t *testing.T) {
 	if got.Meta.Scale != 0.5 || got.Meta.Services != 1 {
 		t.Errorf("Meta = %+v, want scale 0.5, services 1", got.Meta)
 	}
+}
+
+// TestRunnerDatasetMatchesJournalFold: a skip-policy campaign's own
+// dataset and the fold of the journal it wrote are one dataset — same
+// failures in the same order, same report ETag. The subset's catalog
+// order (quizlight, lingolearn) is not key order, so a runner that lists
+// its failures in matrix order rather than folding its records the way a
+// journal load does gives the same report text under a different ETag.
+func TestRunnerDatasetMatchesJournalFold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a reduced campaign")
+	}
+	subset := services.Catalog()[2:4]
+	eco, err := services.Start(subset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eco.Close()
+	path := filepath.Join(t.TempDir(), "run.journal")
+	j, err := core.CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	// One persistent session fault per service: each fails once and is
+	// skipped, journaled with its excluded placeholder.
+	faults := core.NewScriptedFaults(
+		core.FaultRule{Service: subset[0].Key, Cell: services.Cell{OS: services.IOS, Medium: services.Web},
+			Stage: core.StageSession, Times: -1},
+		core.FaultRule{Service: subset[1].Key, Cell: services.Cell{OS: services.Android, Medium: services.App},
+			Stage: core.StageSession, Times: -1},
+	)
+	runner, err := core.NewRunner(eco, core.Options{
+		Scale: 0.05, Parallelism: 2, FailurePolicy: core.FailSkip,
+		FaultInjector: faults, Journal: j, Metrics: obs.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, err := runner.RunCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded, err := JournalDataset(path, ran.Meta.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ran.Meta.Failures) != len(subset) {
+		t.Fatalf("runner recorded %d failures, want %d", len(ran.Meta.Failures), len(subset))
+	}
+	if !reflect.DeepEqual(ran.Meta.Failures, folded.Meta.Failures) {
+		t.Errorf("Meta.Failures differ:\nrunner %+v\nfold   %+v", ran.Meta.Failures, folded.Meta.Failures)
+	}
+	if a, b := reportETag(t, ran), reportETag(t, folded); a != b {
+		t.Errorf("report ETag: runner %s, journal fold %s", a, b)
+	}
+}
+
+// reportETag is the report artifact's ETag for ds on a fresh engine.
+func reportETag(t *testing.T, ds *core.Dataset) string {
+	t.Helper()
+	a, err := NewEngine(EngineOptions{Metrics: obs.New()}).Register("ds", ds).Artifact(context.Background(), "report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.ETag
 }
 
 // TestLiveTailSameSizeRestartReset is the replacement-detection

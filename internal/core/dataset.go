@@ -132,9 +132,12 @@ type Dataset struct {
 
 // Meta records how the dataset was produced.
 type Meta struct {
-	GeneratedAt time.Time     `json:"generated_at"`
-	Services    int           `json:"services"`
-	Scale       float64       `json:"scale"`
+	GeneratedAt time.Time `json:"generated_at"`
+	// Services counts the services with at least one result.
+	Services int     `json:"services"`
+	Scale    float64 `json:"scale"`
+	// Duration is the virtual session length of every experiment
+	// (Options.Duration, avwrun -duration), not the campaign's wall time.
 	Duration    time.Duration `json:"duration"`
 	ReconReport string        `json:"recon_report,omitempty"`
 	// ReconHoldout is the held-out (50/50 split) generalization report.

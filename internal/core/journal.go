@@ -95,14 +95,18 @@ func CreateJournal(path string) (*Journal, error) {
 	return &Journal{f: f, enc: json.NewEncoder(f)}, nil
 }
 
-// validRecordLine reports whether one journal line decodes into a record
-// LoadJournal would accept.
-func validRecordLine(line []byte) bool {
+// DecodeJournalRecord decodes one journal line and validates it: a record
+// must carry a result or mark a skipped experiment. It is the one rule
+// LoadJournal, CreateJournal's tail repair and live tails apply to a line.
+func DecodeJournalRecord(line []byte) (JournalRecord, error) {
 	var rec JournalRecord
 	if err := json.Unmarshal(line, &rec); err != nil {
-		return false
+		return rec, err
 	}
-	return rec.Result != nil || rec.Skipped
+	if rec.Result == nil && !rec.Skipped {
+		return rec, errors.New("record without result")
+	}
+	return rec, nil
 }
 
 // repairJournalTail truncates a torn tail off an existing journal: the
@@ -130,7 +134,7 @@ func repairJournalTail(f *os.File) error {
 			brokenSince = true
 			break
 		}
-		if len(line) == 0 || validRecordLine(line) {
+		if _, err := DecodeJournalRecord(line); len(line) == 0 || err == nil {
 			if brokenSince {
 				// Valid records resume after an invalid line: not a torn
 				// tail. Leave the file for LoadJournal to diagnose.
@@ -182,9 +186,22 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// JournalSet is a loaded journal, indexed by experiment.
+// JournalSet is the keep-last fold of journal records, indexed by
+// experiment: a later record for the same experiment replaces an earlier
+// one. The zero value is an empty set ready for Add. Every campaign
+// dataset — single-process, resumed, sharded, live or loaded from a
+// saved journal — is built from one by Dataset.
 type JournalSet struct {
 	recs map[string]JournalRecord
+}
+
+// Add folds one record into the set, replacing any earlier record for
+// the same experiment.
+func (s *JournalSet) Add(rec JournalRecord) {
+	if s.recs == nil {
+		s.recs = make(map[string]JournalRecord)
+	}
+	s.recs[rec.key()] = rec
 }
 
 // Lookup finds the journaled outcome of one experiment.
@@ -242,6 +259,34 @@ func (s *JournalSet) Records() []JournalRecord {
 	return out
 }
 
+// Dataset builds the campaign dataset the set records: results and
+// failures in (service, OS, medium) order, and Meta.Services counting the
+// services that have a result. The caller's meta supplies what the
+// journal does not carry (Scale, Duration, GeneratedAt, StaleResume, the
+// ReCon reports); its Services and Failures are replaced. Every producer
+// folds through this one function, so the same records give the same
+// dataset whether they came from one process, a resume, a sharded merge,
+// a live tail or a journal load.
+func (s *JournalSet) Dataset(meta Meta) *Dataset {
+	ds := &Dataset{Meta: meta}
+	ds.Meta.Failures = nil
+	seen := make(map[string]bool)
+	for _, rec := range s.Records() {
+		if rec.Result != nil {
+			ds.Results = append(ds.Results, rec.Result)
+			seen[rec.Service] = true
+		}
+		if rec.Skipped {
+			ds.Meta.Failures = append(ds.Meta.Failures, FailureRecord{
+				Service: rec.Service, OS: rec.OS, Medium: rec.Medium,
+				Stage: rec.Stage, Attempts: rec.Attempts, Error: rec.Error,
+			})
+		}
+	}
+	ds.Meta.Services = len(seen)
+	return ds
+}
+
 // MergeJournals folds several campaign journals — typically the
 // per-shard journals of one distributed campaign — into a single set.
 // Within one journal the last record per experiment wins (LoadJournal's
@@ -249,13 +294,13 @@ func (s *JournalSet) Records() []JournalRecord {
 // deterministic order (sorted shard order). Duplicate records across
 // journals are expected and harmless: a reassigned shard re-runs
 // deterministic experiments, so any overlap re-asserts the same outcome.
-// Records() of the merged set — and therefore the rendered report — is
+// Dataset() of the merged set — and therefore the rendered report — is
 // byte-identical to a single-process run over the same matrix, because
 // the sort order depends only on (service, OS, medium). A missing path
 // contributes nothing: a shard that died before journaling anything (and
 // was given up on under a skip policy) has no records to merge.
 func MergeJournals(paths ...string) (*JournalSet, error) {
-	merged := &JournalSet{recs: make(map[string]JournalRecord)}
+	merged := &JournalSet{}
 	for _, p := range paths {
 		set, err := LoadJournal(p)
 		if errors.Is(err, fs.ErrNotExist) {
@@ -264,8 +309,8 @@ func MergeJournals(paths ...string) (*JournalSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		for k, rec := range set.recs {
-			merged.recs[k] = rec
+		for _, rec := range set.recs {
+			merged.Add(rec)
 		}
 	}
 	return merged, nil
@@ -282,7 +327,7 @@ func LoadJournal(path string) (*JournalSet, error) {
 	}
 	defer f.Close()
 
-	set := &JournalSet{recs: make(map[string]JournalRecord)}
+	set := &JournalSet{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
 	var pendingErr error
@@ -296,16 +341,12 @@ func LoadJournal(path string) (*JournalSet, error) {
 			// The undecodable line was not the last one: real corruption.
 			return nil, pendingErr
 		}
-		var rec JournalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		rec, err := DecodeJournalRecord(sc.Bytes())
+		if err != nil {
 			pendingErr = fmt.Errorf("core: journal %s line %d: %w", path, line, err)
 			continue
 		}
-		if rec.Result == nil && !rec.Skipped {
-			pendingErr = fmt.Errorf("core: journal %s line %d: record without result", path, line)
-			continue
-		}
-		set.recs[rec.key()] = rec
+		set.Add(rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("core: read journal: %w", err)

@@ -722,8 +722,12 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 	defer cancel()
 
 	r.Opts.Metrics.Gauge("campaign.jobs").Set(int64(len(jobs)))
+	// runs keeps each measured experiment's flows and detector for ReCon
+	// training; done is the keep-last fold of every record this campaign
+	// journals or resumes, from which its dataset is built.
 	runs := make([]*experimentRun, matrix)
-	failures := make([]*FailureRecord, matrix)
+	var doneMu sync.Mutex
+	var done JournalSet
 
 	// First terminal failure under the abort policy: record it once and
 	// cancel the campaign context so no further experiments launch.
@@ -736,6 +740,14 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 			cancel()
 		}
 		abortMu.Unlock()
+	}
+	// finish checkpoints one experiment's terminal record and folds it
+	// into the campaign's dataset.
+	finish := func(rec JournalRecord) {
+		r.appendJournal(rec, abort)
+		doneMu.Lock()
+		done.Add(rec)
+		doneMu.Unlock()
 	}
 
 	// Progress dispatch: Index is assigned under the lock (preserving the
@@ -802,13 +814,7 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 			continue
 		}
 		resumedCount++
-		runs[j.idx] = &experimentRun{result: rec.Result}
-		if rec.Skipped {
-			failures[j.idx] = &FailureRecord{
-				Service: j.spec.Key, OS: j.cell.OS, Medium: j.cell.Medium,
-				Stage: rec.Stage, Attempts: rec.Attempts, Error: rec.Error,
-			}
-		}
+		done.Add(rec)
 		emitProgress(ProgressEvent{
 			Service: j.spec.Key, OS: j.cell.OS, Medium: j.cell.Medium,
 			Excluded: rec.Result.Excluded && !rec.Skipped,
@@ -857,16 +863,13 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 					emitProgress(ev)
 					return
 				}
-				run = r.skipExperiment(j.spec, j.cell, err, attempts)
-				runs[j.idx] = run
-				failures[j.idx] = failureRecord(j.spec.Key, j.cell, err, attempts)
 				ev.Skipped = true
-				r.appendJournal(JournalRecord{
+				finish(JournalRecord{
 					Service: j.spec.Key, OS: j.cell.OS, Medium: j.cell.Medium,
 					Attempts: attempts, Skipped: true,
-					Stage: failures[j.idx].Stage, Error: failures[j.idx].Error,
-					Result: run.result,
-				}, abort)
+					Stage: failureStage(err), Error: err.Error(),
+					Result: r.skipExperiment(j.spec, j.cell, err, attempts),
+				})
 				emitProgress(ev)
 				return
 			}
@@ -874,10 +877,10 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 			ev.Excluded = run.result.Excluded
 			ev.Flows = run.result.TotalFlows
 			ev.Leaks = len(run.result.Leaks)
-			r.appendJournal(JournalRecord{
+			finish(JournalRecord{
 				Service: j.spec.Key, OS: j.cell.OS, Medium: j.cell.Medium,
 				Attempts: attempts, Result: run.result,
-			}, abort)
+			})
 			emitProgress(ev)
 		}(j)
 	}
@@ -887,25 +890,12 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 	}
 	<-progressDone
 
-	ds := &Dataset{
-		Meta: Meta{
-			GeneratedAt: time.Now(),
-			Services:    len(r.Eco.Catalog),
-			Scale:       r.Opts.Scale,
-			Duration:    r.Opts.Duration,
-			StaleResume: staleResume,
-		},
-	}
-	for _, run := range runs {
-		if run != nil {
-			ds.Results = append(ds.Results, run.result)
-		}
-	}
-	for _, f := range failures {
-		if f != nil {
-			ds.Meta.Failures = append(ds.Meta.Failures, *f)
-		}
-	}
+	ds := done.Dataset(Meta{
+		GeneratedAt: time.Now(),
+		Scale:       r.Opts.Scale,
+		Duration:    r.Opts.Duration,
+		StaleResume: staleResume,
+	})
 
 	abortMu.Lock()
 	err := abortErr
@@ -921,7 +911,6 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 				"completed": strconv.Itoa(len(ds.Results)),
 			}})
 		r.Opts.Logger.Error("campaign failed", "err", err, "completed", len(ds.Results))
-		ds.Sort()
 		// The partial dataset travels with the error: completed
 		// experiments are never discarded (docs/robustness.md).
 		return ds, err
@@ -934,7 +923,6 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 		ds.Meta.ReconReport = report
 		ds.Meta.ReconHoldout = holdout
 	}
-	ds.Sort()
 	stats := ds.Stats()
 	tr.Emit(trace.Event{Type: trace.EvCampaignEnd,
 		DurNS: time.Since(campaignStart).Nanoseconds(),
@@ -963,7 +951,7 @@ func (o Options) failurePolicy() FailurePolicy {
 // skipExperiment converts a terminal failure into an excluded placeholder
 // cell, so the report and figures show the hole instead of losing the
 // campaign (graceful degradation under FailSkip / FailRetrySkip).
-func (r *Runner) skipExperiment(spec *services.Spec, cell services.Cell, err error, attempts int) *experimentRun {
+func (r *Runner) skipExperiment(spec *services.Spec, cell services.Cell, err error, attempts int) *ExperimentResult {
 	reg := r.Opts.Metrics
 	reg.Counter("campaign.skipped").Inc()
 	r.Opts.Tracer.Emit(trace.Event{Type: trace.EvExperimentSkip, Attrs: map[string]string{
@@ -973,26 +961,22 @@ func (r *Runner) skipExperiment(spec *services.Spec, cell services.Cell, err err
 	r.Opts.Logger.Warn("experiment skipped", "service", spec.Key,
 		"os", string(cell.OS), "medium", string(cell.Medium),
 		"attempts", attempts, "err", err)
-	return &experimentRun{result: &ExperimentResult{
+	return &ExperimentResult{
 		Service: spec.Key, Name: spec.Name, Category: spec.Category,
 		Rank: spec.Rank, OS: cell.OS, Medium: cell.Medium,
 		Excluded:      true,
 		ExcludeReason: fmt.Sprintf("experiment failed after %d attempt(s): %v", attempts, err),
-	}}
+	}
 }
 
-// failureRecord builds the Dataset.Meta.Failures entry for one skipped
-// experiment.
-func failureRecord(service string, cell services.Cell, err error, attempts int) *FailureRecord {
-	rec := &FailureRecord{
-		Service: service, OS: cell.OS, Medium: cell.Medium,
-		Attempts: attempts, Error: err.Error(),
-	}
+// failureStage names the pipeline stage a terminal failure came from, or
+// "" when the error is not an ExperimentError.
+func failureStage(err error) string {
 	var xerr *ExperimentError
 	if errors.As(err, &xerr) {
-		rec.Stage = xerr.Stage
+		return xerr.Stage
 	}
-	return rec
+	return ""
 }
 
 // appendJournal checkpoints one completed experiment. A journal write
@@ -1014,9 +998,9 @@ func (r *Runner) appendJournal(rec JournalRecord, abort func(error)) {
 func (r *Runner) annotateWithRecon(runs []*experimentRun) (report, holdout string) {
 	var labeled []recon.LabeledFlow
 	for _, run := range runs {
-		// Journal-resumed runs carry a result but no retained flows or
-		// detector; they cannot contribute to (re)training.
-		if run == nil || run.det == nil || run.result.Excluded {
+		// Resumed, skipped and unrun experiments have no slot, and excluded
+		// ones no flows or detector; neither contributes to (re)training.
+		if run == nil || run.result.Excluded {
 			continue
 		}
 		batch := run.det.NewBatch()
@@ -1033,7 +1017,7 @@ func (r *Runner) annotateWithRecon(runs []*experimentRun) (report, holdout strin
 	clf := recon.Train(labeled, recon.Options{Algorithm: r.Opts.ReconAlgorithm})
 
 	for _, run := range runs {
-		if run == nil || run.det == nil || run.result.Excluded {
+		if run == nil || run.result.Excluded {
 			continue
 		}
 		run.det.Recon = clf

@@ -151,7 +151,8 @@ func aborts(p core.FailurePolicy) bool {
 // tracked by heartbeat lease, reassigned on death or stall, and the
 // per-shard journals are merged into one deterministic set. The merged
 // set — not any worker's in-memory dataset — is the campaign's result;
-// fold it with analysis.JournalSetDataset.
+// build its dataset with (*core.JournalSet).Dataset, the fold a
+// single-process run uses too.
 func Run(ctx context.Context, cfg Config) (*core.JournalSet, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Plan == nil || cfg.Dir == "" || cfg.Launcher == nil {

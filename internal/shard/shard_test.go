@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -71,7 +72,7 @@ func TestShardedReportMatchesSingleProcess(t *testing.T) {
 			if merged.Len() != experiments {
 				t.Fatalf("merged %d experiments, want %d", merged.Len(), experiments)
 			}
-			ds := analysis.JournalSetDataset(merged, opts.Scale)
+			ds := merged.Dataset(core.Meta{Scale: opts.Scale})
 			if got := analysis.Report(ds); got != want {
 				t.Errorf("sharded report differs from single-process run:\n--- single ---\n%s\n--- sharded (n=%d) ---\n%s", want, n, got)
 			}
@@ -89,8 +90,78 @@ func TestShardedReportMatchesSingleProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := analysis.Report(analysis.JournalSetDataset(reversed, opts.Scale)); got != want {
+			if got := analysis.Report(reversed.Dataset(core.Meta{Scale: opts.Scale})); got != want {
 				t.Error("reverse-order merge changed the rendered report")
+			}
+		})
+	}
+}
+
+// TestShardedSkipPolicyMatchesSingleProcess: under a skip policy with a
+// persistent failure in every service, a sharded campaign's merged dataset
+// has the single-process run's report text and its Meta — failure list and
+// order included, which the report text does not show but the report
+// artifact's ETag hashes. The subset's catalog order (quizlight,
+// lingolearn) is not key order, so a single-process run that lists its
+// failures in matrix order differs from the merge. The ETags themselves
+// are not compared: two separate runs never share one, because results
+// carry run-dependent flow IDs and tracker-cookie byte counts.
+func TestShardedSkipPolicyMatchesSingleProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs reduced campaigns")
+	}
+	subset := services.Catalog()[2:4] // 8 experiments
+	eco, err := services.Start(subset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eco.Close()
+	faults := core.NewScriptedFaults(
+		core.FaultRule{Service: subset[0].Key, Cell: services.Cell{OS: services.IOS, Medium: services.Web},
+			Stage: core.StageSession, Times: -1},
+		core.FaultRule{Service: subset[1].Key, Cell: services.Cell{OS: services.Android, Medium: services.App},
+			Stage: core.StageSession, Times: -1},
+	)
+	opts := core.Options{Scale: 0.05, Parallelism: 2, FailurePolicy: core.FailSkip, FaultInjector: faults}
+	runner, err := core.NewRunner(eco, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := runner.RunCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(single.Meta.Failures) != len(subset) {
+		t.Fatalf("single-process run recorded %d failures, want %d", len(single.Meta.Failures), len(subset))
+	}
+	want := analysis.Report(single)
+
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			plan, err := NewPlan(subset, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			merged, err := Run(context.Background(), Config{
+				Plan:          plan,
+				Dir:           dir,
+				Launcher:      &InProcess{Eco: eco, Opts: opts, Plan: plan, Dir: dir},
+				LeaseTTL:      30 * time.Second,
+				FailurePolicy: core.FailSkip,
+				Metrics:       obs.New(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := merged.Dataset(core.Meta{
+				GeneratedAt: single.Meta.GeneratedAt, Scale: opts.Scale, Duration: single.Meta.Duration,
+			})
+			if got := analysis.Report(ds); got != want {
+				t.Errorf("sharded report differs from single-process run:\n--- single ---\n%s\n--- sharded (n=%d) ---\n%s", want, n, got)
+			}
+			if !reflect.DeepEqual(ds.Meta, single.Meta) {
+				t.Errorf("sharded Meta differs from single-process run:\nsingle  %+v\nsharded %+v", single.Meta, ds.Meta)
 			}
 		})
 	}
@@ -148,7 +219,7 @@ func TestShardedKillReassignMatchesSingleProcess(t *testing.T) {
 	if merged.Len() != experiments {
 		t.Fatalf("merged %d experiments, want %d", merged.Len(), experiments)
 	}
-	if got := analysis.Report(analysis.JournalSetDataset(merged, opts.Scale)); got != want {
+	if got := analysis.Report(merged.Dataset(core.Meta{Scale: opts.Scale})); got != want {
 		t.Errorf("report after kill/reassign differs from single-process run:\n--- single ---\n%s\n--- sharded ---\n%s", want, got)
 	}
 	snap := reg.Snapshot()
