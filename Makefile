@@ -2,41 +2,8 @@
 
 GO ?= go
 
-# Micro-benchmark suites: one BENCH_<suite>.json per suite so regressions
-# localize (pii matching, easylist matching, proxy flow handling, trace
-# emission, the inline streaming gateway, the WS/h2 interception paths).
-# docs/performance.md explains how to read the files.
-BENCH_SUITES = pii easylist proxy trace inline ws
-BENCH_FILES = $(foreach s,$(BENCH_SUITES),BENCH_$(s).json)
-
-# Suites the regression gate compares against bench_baseline.json. The
-# proxy suite is excluded: its benchmarks run real loopback TLS
-# connections at millisecond scale, so scheduler noise swings them past
-# any usable tolerance — BENCH_proxy.json is still written for manual
-# benchstat comparison, it just isn't gated. The inline suite IS gated:
-# BenchmarkInlineThroughput relays in memory (no TLS, no sockets), so it
-# isolates the gateway's added scan cost at gateable noise levels
-# (docs/inline.md). The ws suite is gated for the same reason: the frame
-# relay and h2 stream benchmarks pump in-memory byte streams against a
-# stubbed upstream (docs/protocols.md).
-GATED_BENCH_SUITES = pii easylist trace inline ws
-GATED_BENCH_FILES = $(foreach s,$(GATED_BENCH_SUITES),BENCH_$(s).json)
-
-# Allowed fractional regression in ns/op or allocs/op before bench-check
-# fails, after drift normalization (benchcheck divides out the median
-# machine-speed shift). benchcheck's own default is the strict 0.20 —
-# usable on quiet dedicated hardware. The Makefile default is looser
-# because shared/bursty hosts show ±30% per-benchmark phases even with
-# min-of-N sampling; the regressions this gate guards (e.g. the scan
-# engine bypassed) are 5–10x, far above either setting. Tighten with
-# `make bench-check BENCH_TOLERANCE=0.20`.
-BENCH_TOLERANCE ?= 0.40
-
-.PHONY: build test short race race-fault vet fmt check bench bench-micro \
-	bench-macro bench-macro-gate bench-check bench-baseline \
-	bench-baseline-macro bench-serve bench-serve-gate \
-	bench-baseline-serve bench-shard bench-shard-gate \
-	bench-baseline-shard fuzz
+.PHONY: build test short race race-fault vet fmt check bench bench-check \
+	bench-baseline fuzz
 
 build:
 	$(GO) build ./...
@@ -88,136 +55,22 @@ fmt:
 check: vet fmt race race-fault
 	@echo "check: OK"
 
-## bench: all benchmarks with -benchmem; test2json event streams land in
-## BENCH_<suite>.json / BENCH_macro.json for machine comparison (benchstat
-## reads the plain-text mirror inside each stream's Output fields)
-bench: bench-micro bench-macro
-
-# Sampling: each benchmark runs BENCH_COUNT times at BENCH_TIME each;
-# benchcheck keeps the best iteration (min-of-N), which damps the bursty
-# scheduler interference a single long sample would bake in.
-BENCH_COUNT ?= 6
-BENCH_TIME ?= 0.5s
-
-bench-micro:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) -json ./internal/pii > BENCH_pii.json
-	$(GO) test -run='^$$' -bench=. -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) -json ./internal/easylist > BENCH_easylist.json
-	$(GO) test -run='^$$' -bench=. -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) -json ./internal/proxy > BENCH_proxy.json
-	$(GO) test -run='^$$' -bench=. -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) -json ./internal/obs/trace > BENCH_trace.json
-	$(GO) test -run='^$$' -bench='^BenchmarkInlineThroughput$$' -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) -json ./internal/proxy > BENCH_inline.json
-	$(GO) test -run='^$$' -bench='^(BenchmarkWSRelay|BenchmarkH2Intercept)$$' -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) -json ./internal/proxy > BENCH_ws.json
-	@echo "wrote $(BENCH_FILES)"
-
-bench-macro:
+## bench: every root-package benchmark (tables, figures, campaigns,
+## ablations) with -benchmem, ungated, into the test2json stream
+## BENCH_macro.json for benchstat; the gated streams come from bench-check
+bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -json . > BENCH_macro.json
 	@echo "wrote BENCH_macro.json"
 
-# The macro gate samples BenchmarkCampaign (a 0.05-scale full campaign,
-# ~12s/iteration) plus the artifact-serving pair
-# BenchmarkEngineCold/WarmArtifacts: one timed iteration, best of
-# MACRO_BENCH_COUNT. It guards the zero-failure path against
-# fault-tolerance overhead — a uniform campaign slowdown that the micro
-# suites never see — and the engine's warm-path guarantee (a broken
-# artifact cache shows up as Warm collapsing to Cold's wall time, far
-# beyond any tolerance).
-MACRO_BENCH_COUNT ?= 3
+## bench-check: the regression guard — runs every gate in bench_gates.json
+## and compares it against its committed baseline, resampling a failing
+## gate once (docs/performance.md). One gate: go run ./cmd/benchcheck serve
+bench-check:
+	$(GO) run ./cmd/benchcheck
 
-bench-macro-gate:
-	$(GO) test -run='^$$' \
-		-bench='^(BenchmarkCampaign|BenchmarkEngineColdArtifacts|BenchmarkEngineWarmArtifacts)$$' \
-		-benchtime=1x -count=$(MACRO_BENCH_COUNT) -benchmem -json . > BENCH_macro_gate.json
-	@echo "wrote BENCH_macro_gate.json"
-
-## bench-check: the regression guard — fresh micro benches vs the committed
-## baseline; fails on >BENCH_TOLERANCE regression in ns/op or allocs/op
-# On failure the suites are resampled once: interference phases on shared
-# hosts can outlast one benchmark's consecutive samples, and a genuine
-# regression fails both passes anyway.
-# The macro comparison holds a single benchmark, so drift normalization
-# would gate nothing (the benchmark's own ratio would define the drift);
-# -nodrift compares raw wall time under a looser tolerance. The campaign
-# benchmark is dominated by real session work, so its wall time is far
-# steadier than microsecond-scale micro benches.
-MACRO_BENCH_TOLERANCE ?= 0.60
-
-bench-check: bench-micro bench-macro-gate
-	@$(GO) run ./cmd/benchcheck -baseline bench_baseline.json \
-		-tol $(BENCH_TOLERANCE) $(GATED_BENCH_FILES) || { \
-		echo "bench-check: failure reported; resampling once to rule out interference"; \
-		$(MAKE) bench-micro; \
-		$(GO) run ./cmd/benchcheck -baseline bench_baseline.json \
-			-tol $(BENCH_TOLERANCE) $(GATED_BENCH_FILES); }
-	@$(GO) run ./cmd/benchcheck -baseline bench_baseline_macro.json \
-		-nodrift -tol $(MACRO_BENCH_TOLERANCE) BENCH_macro_gate.json || { \
-		echo "bench-check: macro failure reported; resampling once to rule out interference"; \
-		$(MAKE) bench-macro-gate; \
-		$(GO) run ./cmd/benchcheck -baseline bench_baseline_macro.json \
-			-nodrift -tol $(MACRO_BENCH_TOLERANCE) BENCH_macro_gate.json; }
-
-## bench-baseline: regenerate the committed baselines from a fresh run
-bench-baseline: bench-micro
-	$(GO) run ./cmd/benchcheck -write bench_baseline.json $(GATED_BENCH_FILES)
-
-bench-baseline-macro: bench-macro-gate
-	$(GO) run ./cmd/benchcheck -write bench_baseline_macro.json BENCH_macro_gate.json
-
-# The serve bench drives the production mux (internal/serve) over real
-# loopback HTTP with avwbench: closed loop, zipfian artifact mix, half the
-# repeat requests conditional. avwbench self-gates the protocol invariants
-# (-min-304: revalidation must work; -max-error-rate 0: any 5xx fails) and
-# writes BENCH_serve.json for the throughput/latency comparison. Like the
-# macro gate it compares -nodrift (the four serve benchmarks all move
-# together, so the median ratio would define the drift and gate nothing);
-# per-entry "tol" values in bench_baseline_serve.json widen the band for
-# the noisy tail quantiles only. docs/load-testing.md explains the knobs.
-SERVE_BENCH_TOLERANCE ?= 0.60
-SERVE_BENCH_FLAGS ?= -dataset dataset.json -mode closed -c 8 -warmup 1s \
-	-duration 5s -zipf 1.2 -revalidate 0.5 -seed 1 -min-304 0.2
-
-bench-serve:
-	$(GO) run ./cmd/avwbench $(SERVE_BENCH_FLAGS) -bench BENCH_serve.json
-	@echo "wrote BENCH_serve.json"
-
-## bench-serve-gate: serving-path regression guard — a fresh load run vs
-## the committed bench_baseline_serve.json (resampled once on failure)
-bench-serve-gate: bench-serve
-	@$(GO) run ./cmd/benchcheck -baseline bench_baseline_serve.json \
-		-nodrift -tol $(SERVE_BENCH_TOLERANCE) BENCH_serve.json || { \
-		echo "bench-serve-gate: failure reported; resampling once to rule out interference"; \
-		$(MAKE) bench-serve; \
-		$(GO) run ./cmd/benchcheck -baseline bench_baseline_serve.json \
-			-nodrift -tol $(SERVE_BENCH_TOLERANCE) BENCH_serve.json; }
-
-bench-baseline-serve: bench-serve
-	$(GO) run ./cmd/benchcheck -write bench_baseline_serve.json BENCH_serve.json
-
-# The shard bench pairs BenchmarkCampaign with BenchmarkShardedCampaign —
-# the identical 50-service matrix, single-process vs 4 in-process shard
-# workers with per-shard journals and the deterministic merge — so the
-# stream doubles as a direct benchstat comparison of coordination
-# overhead. Gated -nodrift like the other macro comparisons (two
-# benchmarks that move together would define the drift) against
-# bench_baseline_shard.json (docs/distributed.md).
-SHARD_BENCH_TOLERANCE ?= 0.60
-
-bench-shard:
-	$(GO) test -run='^$$' -bench='^(BenchmarkCampaign|BenchmarkShardedCampaign)$$' \
-		-benchtime=1x -count=$(MACRO_BENCH_COUNT) -benchmem -json . > BENCH_shard.json
-	@echo "wrote BENCH_shard.json"
-
-## bench-shard-gate: distributed-execution regression guard — a fresh
-## sharded-vs-single sample against the committed bench_baseline_shard.json
-## (resampled once on failure)
-bench-shard-gate: bench-shard
-	@$(GO) run ./cmd/benchcheck -baseline bench_baseline_shard.json \
-		-nodrift -tol $(SHARD_BENCH_TOLERANCE) BENCH_shard.json || { \
-		echo "bench-shard-gate: failure reported; resampling once to rule out interference"; \
-		$(MAKE) bench-shard; \
-		$(GO) run ./cmd/benchcheck -baseline bench_baseline_shard.json \
-			-nodrift -tol $(SHARD_BENCH_TOLERANCE) BENCH_shard.json; }
-
-bench-baseline-shard: bench-shard
-	$(GO) run ./cmd/benchcheck -write bench_baseline_shard.json BENCH_shard.json
+## bench-baseline: regenerate every gate's baseline entries from a fresh run
+bench-baseline:
+	$(GO) run ./cmd/benchcheck -write
 
 ## fuzz: short smoke of every fuzz target (CI runs this)
 fuzz:

@@ -232,7 +232,7 @@ func BenchmarkCampaign(b *testing.B) {
 // BenchmarkCampaign, but through the distributed machinery: a 4-shard
 // plan, in-process workers each journaling to its own file, heartbeat
 // leases, and the deterministic journal merge. Gated side by side with
-// BenchmarkCampaign in BENCH_shard.json (make bench-shard), the pair
+// BenchmarkCampaign by the macro gate in bench_gates.json, the pair
 // bounds the coordination overhead — planning, four journal fsync
 // streams, and the merge — relative to a single-process run
 // (docs/distributed.md).

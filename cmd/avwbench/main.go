@@ -25,8 +25,8 @@
 //
 // With -bench the run also emits a benchcheck-compatible test2json stream
 // (BenchmarkServeWallPerRequest, BenchmarkServeLatencyP50/P95/P99), which
-// is how `make bench-serve-gate` compares a run against the committed
-// bench_baseline_serve.json. The run gates itself with -min-304 and
+// is how the serve gate in bench_gates.json compares a run against its
+// committed baseline (go run ./cmd/benchcheck serve). The run gates itself with -min-304 and
 // -max-error-rate, so a broken revalidation path or error storm fails
 // even when throughput looks fine.
 //

@@ -35,6 +35,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -87,6 +88,17 @@ func main() {
 		shardWorker = flag.Int("shard-worker", -1, "internal: run as shard worker k of -shards and exit (stdout lines are heartbeats)")
 	)
 	flag.Parse()
+	if err := (runFlags{
+		scale:       *scale,
+		duration:    *duration,
+		recon:       *recon,
+		shards:      *shards,
+		shardWorker: *shardWorker,
+		journal:     *journalPath,
+		resume:      *resumePath,
+	}).validate(); err != nil {
+		fatalf("%v", err)
+	}
 
 	var tracer *trace.Tracer
 	var traceFile *os.File
@@ -197,9 +209,6 @@ func main() {
 		opts.OnProgress = printProgress
 	}
 	if *shards > 0 || *shardWorker >= 0 {
-		if *journalPath != "" || *resumePath != "" {
-			fatalf("-shards keeps one journal per shard under -shard-dir; drop -journal/-resume (rerunning with the same -shard-dir resumes)")
-		}
 		runSharded(eco, catalog, opts, shardedConfig{
 			shards:    *shards,
 			dir:       *shardDir,
@@ -214,9 +223,6 @@ func main() {
 	}
 	journalFile := *journalPath
 	if *resumePath != "" {
-		if journalFile != "" && journalFile != *resumePath {
-			fatalf("-resume appends to the resumed journal; drop -journal or point it at the same file")
-		}
 		journalFile = *resumePath
 		set, err := core.LoadJournal(*resumePath)
 		if err != nil {
@@ -290,6 +296,45 @@ func main() {
 	}
 }
 
+// runFlags are the flag values whose combinations avwrun checks before
+// it starts anything.
+type runFlags struct {
+	scale           float64
+	duration        time.Duration
+	recon           bool
+	shards          int
+	shardWorker     int
+	journal, resume string
+}
+
+// validate rejects values and combinations a run cannot honour, so that
+// single-process and sharded runs record the same Meta and no requested
+// output goes silently missing.
+func (f runFlags) validate() error {
+	sharded := f.shards > 0 || f.shardWorker >= 0
+	switch {
+	case f.scale <= 0:
+		return fmt.Errorf("-scale must be positive, got %v", f.scale)
+	case f.duration <= 0:
+		return fmt.Errorf("-duration must be positive, got %v", f.duration)
+	case f.shardWorker >= 0 && f.shards < 1:
+		return errors.New("-shard-worker requires -shards")
+	case sharded && (f.journal != "" || f.resume != ""):
+		return errors.New("-shards keeps one journal per shard under -shard-dir; drop -journal/-resume (rerunning with the same -shard-dir resumes)")
+	case sharded && f.recon:
+		// Each shard worker trains on its own slice and the merged
+		// journals carry no ReCon results.
+		return errors.New("-recon trains one classifier over the whole campaign in one process; drop -shards for a ReCon report")
+	case f.resume != "" && f.recon:
+		// Resumed experiments come from the journal, without the flows
+		// the classifier trains on.
+		return errors.New("-recon needs every experiment measured in this process; drop -resume (rerun without it) for a ReCon report")
+	case f.resume != "" && f.journal != "" && f.journal != f.resume:
+		return errors.New("-resume appends to the resumed journal; drop -journal or point it at the same file")
+	}
+	return nil
+}
+
 // shardedConfig carries the -shard* flag values into runSharded.
 type shardedConfig struct {
 	shards    int
@@ -310,9 +355,6 @@ type shardedConfig struct {
 // the same dataset and report a single-process run would have produced
 // (docs/distributed.md).
 func runSharded(eco *services.Ecosystem, catalog []*services.Spec, opts core.Options, cfg shardedConfig) {
-	if cfg.shards < 1 {
-		fatalf("-shard-worker requires -shards")
-	}
 	dir := cfg.dir
 	if dir == "" {
 		dir = cfg.out + ".shards"

@@ -84,8 +84,8 @@ func BenchmarkScanAll(b *testing.B) {
 // BenchmarkScanManyNeedles is the acceptance benchmark for the
 // Aho–Corasick engine: the full needle set of a realistic record (well
 // over 50 needles) scanning one analytics-beacon body, engine vs the
-// retained per-needle reference. The engine sub-benchmark is what
-// bench_baseline.json guards.
+// retained per-needle reference. The micro gate in bench_gates.json
+// guards both sub-benchmarks.
 func BenchmarkScanManyNeedles(b *testing.B) {
 	rec := benchRecord()
 	m := NewMatcher(rec)

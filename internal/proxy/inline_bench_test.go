@@ -62,7 +62,7 @@ func benchInlineBody(rec *pii.Record, bodySize int, hit bool) []byte {
 // serveTunneledRequest run — with detection off (nil gateway, the
 // pass-through baseline every flow pays today) versus on. In-memory by
 // design: the loopback-TLS proxy benchmarks are too noisy to gate
-// (Makefile), while this isolates exactly the added scan work.
+// (docs/performance.md), while this isolates exactly the added scan work.
 func BenchmarkInlineThroughput(b *testing.B) {
 	rec := inlineRecord()
 	const bodySize = 64 << 10
