@@ -6,7 +6,8 @@
 //
 // With -metrics-addr set it also serves the internal/obs observability
 // surface on a separate listener: live proxy counters (flows, bytes,
-// tunnel failures) as JSON at /debug/metrics and the runtime profiler at
+// tunnel failures) as Prometheus text at /debug/metrics, their windowed
+// rates at /debug/metrics/series, and the runtime profiler at
 // /debug/pprof/.
 //
 // Usage:

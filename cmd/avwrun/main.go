@@ -126,7 +126,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "avwrun: metrics server: %v\n", err)
 			}
 		}()
-		// A recorder alongside the snapshot endpoint: /debug/metrics/series
+		// A recorder alongside the text exposition: /debug/metrics/series
 		// answers "how fast is the campaign moving right now", which is what
 		// avwtop pointed at a running campaign shows.
 		go obs.NewRecorder(obs.Default, obs.RecorderOptions{Logger: logger}).Run(context.Background())

@@ -15,8 +15,7 @@
 // invalidating only the artifacts each fold actually changes.
 //
 // Alongside the app it exposes the observability surface of internal/obs:
-// a metrics snapshot at /debug/metrics (JSON by default; Prometheus or
-// OpenMetrics text via ?format=prom / ?format=openmetrics), the windowed
+// the metrics in Prometheus text format at /debug/metrics, the windowed
 // time-series view at /debug/metrics/series (a Recorder self-scrapes the
 // registry every second — this is what avwtop and the built-in SLO
 // watches consume), and the runtime profiler at /debug/pprof/. The

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -14,68 +15,40 @@ import (
 )
 
 // The dashboard pipeline is three pure-ish stages so each is testable
-// without a terminal: fetch (one GET of the /debug/metrics JSON snapshot),
-// compute (rates and ratios between the oldest and newest held samples),
-// render (one ANSI frame, or one CSV row). Rates are computed client-side
-// from the cumulative counters, so avwtop works against any avw binary
-// exposing /debug/metrics — a Recorder on the server side is only needed
-// for the runtime.* gauges it maintains.
+// without a terminal: fetch (one GET of the /debug/metrics/series view),
+// compute (pick one rate window and the ratios), render (one ANSI frame,
+// or one CSV row). The rates are the server-side obs.Recorder's, so
+// avwtop holds no history of its own.
 
-// sample is one scrape of a /debug/metrics JSON snapshot.
-type sample struct {
-	at   time.Time
-	snap obs.Snapshot
-}
-
-// fetchSample GETs url and decodes the JSON snapshot.
-func fetchSample(client *http.Client, url string) (sample, error) {
+// fetchSeries GETs url and decodes the series view.
+func fetchSeries(client *http.Client, url string) (obs.SeriesSnapshot, error) {
+	var s obs.SeriesSnapshot
 	resp, err := client.Get(url)
 	if err != nil {
-		return sample{}, err
+		return s, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return sample{}, fmt.Errorf("GET %s: %s", url, resp.Status)
+		return s, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	s := sample{at: time.Now()}
-	if err := json.NewDecoder(resp.Body).Decode(&s.snap); err != nil {
-		return sample{}, fmt.Errorf("decode %s: %w", url, err)
+	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
+		return s, fmt.Errorf("decode %s: %w", url, err)
 	}
 	return s, nil
-}
-
-// ring holds recent samples; rates span its full width, so the window is
-// capacity × poll interval.
-type ring struct {
-	samples []sample
-	cap     int
-}
-
-func newRing(capacity int) *ring {
-	if capacity < 2 {
-		capacity = 2
-	}
-	return &ring{cap: capacity}
-}
-
-func (r *ring) push(s sample) {
-	r.samples = append(r.samples, s)
-	if len(r.samples) > r.cap {
-		r.samples = r.samples[len(r.samples)-r.cap:]
-	}
 }
 
 // encRate is one row of the per-encoding PII hit table.
 type encRate struct {
 	Encoding string
 	Total    int64
-	Rate     float64 // hits/s over the ring window
+	Rate     float64 // hits/s over the window
 }
 
-// stats is everything one frame shows, computed from the ring's endpoints.
+// stats is everything one frame shows.
 type stats struct {
-	At      time.Time
-	Elapsed time.Duration // ring window the rates span
+	At      time.Time // the recorder's latest tick
+	Window  string    // server rate window the rates span
+	Samples int       // recorder ticks held; rates need two
 
 	Requests   int64   // cumulative serve.requests_total
 	RPS        float64 // its rate
@@ -95,49 +68,41 @@ type stats struct {
 	WatchTrips int64
 }
 
-// rate is the per-second delta of one counter between two samples.
-func rate(prev, cur sample, name string) float64 {
-	dt := cur.at.Sub(prev.at).Seconds()
-	if dt <= 0 {
-		return 0
+// computeStats derives the frame from one series view, reading rates over
+// window. Until the recorder holds two ticks the cumulative columns fill
+// and the rates stay zero.
+func computeStats(s obs.SeriesSnapshot, window string) (stats, error) {
+	if !slices.Contains(s.Windows, window) {
+		return stats{}, fmt.Errorf("server has no %q rate window (has %s)",
+			window, strings.Join(s.Windows, ", "))
 	}
-	return float64(cur.snap.Counters[name]-prev.snap.Counters[name]) / dt
-}
-
-// computeStats derives the frame from the oldest and newest held samples.
-// With one sample the cumulative columns still fill; rates stay zero.
-func computeStats(r *ring) stats {
-	if len(r.samples) == 0 {
-		return stats{}
-	}
-	cur := r.samples[len(r.samples)-1]
-	prev := r.samples[0]
+	c := s.Counters
 	st := stats{
-		At:      cur.at,
-		Elapsed: cur.at.Sub(prev.at),
+		At:      s.At,
+		Window:  window,
+		Samples: s.Samples,
 		Classes: make(map[string]int64),
 	}
-	c := cur.snap.Counters
-	st.Requests = c["serve.requests_total"]
-	st.RPS = rate(prev, cur, "serve.requests_total")
-	st.ErrorRate = rate(prev, cur, "serve.responses.5xx")
+	st.Requests = c["serve.requests_total"].Value
+	st.RPS = c["serve.requests_total"].Rates[window]
+	st.ErrorRate = c["serve.responses.5xx"].Rates[window]
 	for _, class := range []string{"2xx", "3xx", "4xx", "5xx"} {
-		st.Classes[class] = c["serve.responses."+class]
+		st.Classes[class] = c["serve.responses."+class].Value
 	}
-	if h, ok := cur.snap.Histograms["serve.request_ns"]; ok {
+	if h, ok := s.Histograms["serve.request_ns"]; ok {
 		st.P50ns, st.P95ns, st.P99ns = h.P50, h.P95, h.P99
 	}
-	st.SSESubs = cur.snap.Gauges["serve.sse_subscribers"]
-	st.CacheHits = c["analysis.cache_hits_total"]
-	st.CacheMiss = c["analysis.cache_misses_total"]
+	st.SSESubs = s.Gauges["serve.sse_subscribers"]
+	st.CacheHits = c["analysis.cache_hits_total"].Value
+	st.CacheMiss = c["analysis.cache_misses_total"].Value
 	if total := st.CacheHits + st.CacheMiss; total > 0 {
 		st.HitRatio = float64(st.CacheHits) / float64(total)
 	}
 	const piiPrefix = "pii.match.hits."
-	for name, v := range c {
+	for name, cs := range c {
 		if enc, ok := strings.CutPrefix(name, piiPrefix); ok {
 			st.PII = append(st.PII, encRate{
-				Encoding: enc, Total: v, Rate: rate(prev, cur, name),
+				Encoding: enc, Total: cs.Value, Rate: cs.Rates[window],
 			})
 		}
 	}
@@ -147,11 +112,11 @@ func computeStats(r *ring) stats {
 		}
 		return st.PII[i].Encoding < st.PII[j].Encoding
 	})
-	st.Goroutines = cur.snap.Gauges["runtime.goroutines"]
-	st.HeapBytes = cur.snap.Gauges["runtime.heap_bytes"]
-	st.GCCycles = cur.snap.Gauges["runtime.gc_cycles"]
-	st.WatchTrips = c["obs.watch.trips_total"]
-	return st
+	st.Goroutines = s.Gauges["runtime.goroutines"]
+	st.HeapBytes = s.Gauges["runtime.heap_bytes"]
+	st.GCCycles = s.Gauges["runtime.gc_cycles"]
+	st.WatchTrips = c["obs.watch.trips_total"].Value
+	return st, nil
 }
 
 // fmtNS renders a nanosecond latency human-first (µs/ms/s).
@@ -197,8 +162,8 @@ func render(w io.Writer, url string, st stats, color bool) {
 	if color {
 		bold, dim, reset = ansiBold, ansiDim, ansiReset
 	}
-	fmt.Fprintf(w, "%savwtop%s — %s — %s %s(rates over %.1fs)%s\n\n",
-		bold, reset, url, st.At.Format("15:04:05"), dim, st.Elapsed.Seconds(), reset)
+	fmt.Fprintf(w, "%savwtop%s — %s — %s %s(%s rates, %d ticks)%s\n\n",
+		bold, reset, url, st.At.Format("15:04:05"), dim, st.Window, st.Samples, reset)
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "%srequests%s\t%.1f req/s\ttotal %d\t5xx %.2f/s\n",

@@ -11,22 +11,20 @@ import (
 )
 
 // newTestServer boots the real observability surface in-process: a
-// registry with representative workload metrics, a ticked Recorder for
-// the runtime.* gauges, served by obs.DebugMux over httptest.
-func newTestServer(t *testing.T) (*httptest.Server, *obs.Registry) {
+// registry with a Recorder the test steps with Tick, served by
+// obs.DebugMux over httptest.
+func newTestServer(t *testing.T) (*httptest.Server, *obs.Registry, *obs.Recorder) {
 	t.Helper()
 	reg := obs.New()
 	rec := obs.NewRecorder(reg, obs.RecorderOptions{Interval: time.Millisecond})
-	rec.Tick()
 	srv := httptest.NewServer(obs.DebugMux(reg))
 	t.Cleanup(srv.Close)
-	return srv, reg
+	return srv, reg, rec
 }
 
 func TestFetchComputeRender(t *testing.T) {
-	srv, reg := newTestServer(t)
-	client := srv.Client()
-	url := srv.URL + "/debug/metrics"
+	srv, reg, rec := newTestServer(t)
+	url := srv.URL + "/debug/metrics/series"
 
 	reg.Counter("serve.requests_total").Add(100)
 	reg.CounterVec("serve.responses", "class").WithLabelValues("2xx").Add(95)
@@ -40,28 +38,28 @@ func TestFetchComputeRender(t *testing.T) {
 	for _, v := range []int64{1_000_000, 2_000_000, 50_000_000} {
 		h.Observe(v)
 	}
-
-	r := newRing(4)
-	s1, err := fetchSample(client, url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.push(s1)
+	rec.Tick()
 	time.Sleep(20 * time.Millisecond)
 	reg.Counter("serve.requests_total").Add(50)
 	reg.CounterVec("pii.match.hits", "encoding").WithLabelValues("identity").Add(4)
-	s2, err := fetchSample(client, url)
+	rec.Tick()
+
+	s, err := fetchSeries(srv.Client(), url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.push(s2)
-
-	st := computeStats(r)
+	st, err := computeStats(s, "10s")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Requests != 150 {
 		t.Fatalf("requests = %d, want 150", st.Requests)
 	}
 	if st.RPS <= 0 {
 		t.Fatalf("rps = %v, want > 0", st.RPS)
+	}
+	if st.Samples != 2 || st.Window != "10s" {
+		t.Fatalf("samples = %d window = %q, want 2 and 10s", st.Samples, st.Window)
 	}
 	if st.Classes["2xx"] != 95 || st.Classes["5xx"] != 5 {
 		t.Fatalf("classes = %+v", st.Classes)
@@ -76,7 +74,7 @@ func TestFetchComputeRender(t *testing.T) {
 		t.Fatalf("latency quantiles empty: %+v", st)
 	}
 	// PII rows sort by total: identity (12) before md5 (3); only identity
-	// moved between samples, so only it carries a rate.
+	// moved between ticks, so only it carries a rate.
 	if len(st.PII) != 2 || st.PII[0].Encoding != "identity" || st.PII[0].Total != 12 {
 		t.Fatalf("pii rows = %+v", st.PII)
 	}
@@ -93,7 +91,7 @@ func TestFetchComputeRender(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"req/s", "p99", "hit ratio 75.0%", "subscribers 2",
-		"goroutines", "identity", "md5",
+		"goroutines", "identity", "md5", "10s rates, 2 ticks",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q:\n%s", want, out)
@@ -110,29 +108,57 @@ func TestFetchComputeRender(t *testing.T) {
 	}
 }
 
-func TestFetchSampleErrors(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "nope", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	if _, err := fetchSample(srv.Client(), srv.URL+"/debug/metrics"); err == nil {
-		t.Fatal("want error on non-200")
+// TestComputeStatsWindow: one tick fills the cumulative columns with zero
+// rates, and a window the recorder does not keep is an error, not a row
+// of silent zeros.
+func TestComputeStatsWindow(t *testing.T) {
+	srv, reg, rec := newTestServer(t)
+	reg.Counter("serve.requests_total").Add(7)
+	rec.Tick()
+	s, err := fetchSeries(srv.Client(), srv.URL+"/debug/metrics/series")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := fetchSample(&http.Client{Timeout: time.Second}, "http://127.0.0.1:1/debug/metrics"); err == nil {
-		t.Fatal("want error on refused connection")
+	st, err := computeStats(s, "1m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests != 7 || st.RPS != 0 || st.Samples != 1 {
+		t.Fatalf("one tick: requests=%d rps=%v samples=%d, want 7, 0, 1", st.Requests, st.RPS, st.Samples)
+	}
+	if _, err := computeStats(s, "2m"); err == nil || !strings.Contains(err.Error(), "10s, 1m, 5m") {
+		t.Fatalf("unknown window: err = %v", err)
 	}
 }
 
-func TestRingBounded(t *testing.T) {
-	r := newRing(3)
-	for i := 0; i < 10; i++ {
-		r.push(sample{at: time.Unix(int64(i), 0)})
+// TestRunOnceWaitsForRates: -once polls a recorder with a single tick
+// until a second one lands, then gates on the request rate it reads.
+func TestRunOnceWaitsForRates(t *testing.T) {
+	srv, reg, rec := newTestServer(t)
+	url := srv.URL + "/debug/metrics/series"
+	rec.Tick()
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		reg.Counter("serve.requests_total").Add(10)
+		rec.Tick()
+	}()
+	if code := runOnce(srv.Client(), url, "10s", 5*time.Millisecond, 1, nil); code != 0 {
+		t.Fatalf("runOnce = %d, want 0", code)
 	}
-	if len(r.samples) != 3 {
-		t.Fatalf("ring len = %d, want 3", len(r.samples))
+	if code := runOnce(srv.Client(), url, "10s", 5*time.Millisecond, 1e9, nil); code != 1 {
+		t.Fatalf("runOnce with unmet -min-rps = %d, want 1", code)
 	}
-	if !r.samples[0].at.Equal(time.Unix(7, 0)) {
-		t.Fatalf("oldest = %v, want t=7", r.samples[0].at)
+}
+
+func TestFetchSeriesErrors(t *testing.T) {
+	// A debug mux without a Recorder answers the series view with 404.
+	srv := httptest.NewServer(obs.DebugMux(obs.New()))
+	defer srv.Close()
+	if _, err := fetchSeries(srv.Client(), srv.URL+"/debug/metrics/series"); err == nil {
+		t.Fatal("want error on non-200")
+	}
+	if _, err := fetchSeries(&http.Client{Timeout: time.Second}, "http://127.0.0.1:1/debug/metrics/series"); err == nil {
+		t.Fatal("want error on refused connection")
 	}
 }
 

@@ -41,8 +41,6 @@ type Options struct {
 	// TrainRecon trains the ReCon classifier on the campaign's labeled
 	// flows and annotates every leak with its detector provenance.
 	TrainRecon bool
-	// ReconAlgorithm selects the learner when TrainRecon is set.
-	ReconAlgorithm recon.Algorithm
 	// DisableBackgroundFilter keeps OS traffic in the analysis (the
 	// filtering ablation).
 	DisableBackgroundFilter bool
@@ -722,9 +720,12 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 	defer cancel()
 
 	r.Opts.Metrics.Gauge("campaign.jobs").Set(int64(len(jobs)))
-	// runs keeps each measured experiment's flows and detector for ReCon
-	// training; done is the keep-last fold of every record this campaign
-	// journals or resumes, from which its dataset is built.
+	// runs keeps each measured experiment's flows and detector (about 1 MB
+	// of automaton) until the campaign ends, TrainRecon or not; only
+	// annotateWithRecon reads them. At 200 experiments that is ~200 MB of
+	// live heap, which sets the GC pace of the whole run. done is the
+	// keep-last fold of every record this campaign journals or resumes,
+	// from which its dataset is built.
 	runs := make([]*experimentRun, matrix)
 	var doneMu sync.Mutex
 	var done JournalSet
@@ -1014,7 +1015,7 @@ func (r *Runner) annotateWithRecon(runs []*experimentRun) (report, holdout strin
 	if len(labeled) == 0 {
 		return "", ""
 	}
-	clf := recon.Train(labeled, recon.Options{Algorithm: r.Opts.ReconAlgorithm})
+	clf := recon.Train(labeled, recon.Options{})
 
 	for _, run := range runs {
 		if run == nil || run.result.Excluded {
@@ -1041,5 +1042,5 @@ func (r *Runner) annotateWithRecon(runs []*experimentRun) (report, holdout strin
 		}
 	}
 	return recon.Report(recon.Evaluate(clf, labeled)),
-		recon.Report(recon.SplitEvaluate(labeled, 0.5, recon.Options{Algorithm: r.Opts.ReconAlgorithm}))
+		recon.Report(recon.SplitEvaluate(labeled, 0.5, recon.Options{}))
 }

@@ -4,10 +4,10 @@ import "sort"
 
 // MetricDesc is the in-code description of one metric family: its type,
 // unit, label dimensions, and one-line help text. The table below is the
-// canonical metric catalog — the OpenMetrics encoder derives # HELP and
-// # TYPE metadata from it, and the metric/doc drift lint
-// (metricsdoc_test.go at the repo root) fails the build when a metric is
-// emitted in code but missing here or in docs/metrics.md (or vice versa).
+// canonical metric catalog — the text exposition derives its # HELP lines
+// from it, and the metric/doc drift lint (metricsdoc_test.go at the repo
+// root) fails the build when a metric is emitted in code but missing here
+// or in docs/metrics.md (or vice versa).
 type MetricDesc struct {
 	Type   string   // "counter", "gauge", or "histogram"
 	Unit   string   // histogram unit ("ns", "bytes"); empty otherwise

@@ -1,19 +1,18 @@
 // Package obs is the campaign observability layer: lock-free counters and
 // gauges, fixed log-bucket streaming histograms with quantile estimation,
 // span timers for stage timing, labeled metric families, and a
-// process-wide Registry with three export surfaces — the legacy JSON
-// snapshot at /debug/metrics, Prometheus/OpenMetrics text exposition
-// (?format=prom / ?format=openmetrics, metadata from the in-code catalog
-// in desc.go), and the windowed time-series view at /debug/metrics/series
-// backed by a self-scraping Recorder.
+// process-wide Registry with two export surfaces — Prometheus text
+// exposition (format 0.0.4, # HELP lines from the in-code catalog in
+// desc.go) at /debug/metrics, and the windowed time-series view (JSON) at
+// /debug/metrics/series backed by a self-scraping Recorder.
 //
 // Metrics that vary along a dimension are vec families (CounterVec,
 // GaugeVec, HistogramVec): a fixed ordered label set, one series per
 // label tuple, per-family cardinality bounded by collapsing overflow
-// tuples into a shared "other" series. In the JSON snapshot each series
-// folds to the legacy flat dotted name (pii.match.hits.md5,
-// stage.session_ns), so the wire format predates and survives the
-// dimensional layer; the text exposition renders real label pairs.
+// tuples into a shared "other" series. In a Snapshot (and so in the
+// series view and Watch rules) each series folds to a flat dotted name
+// (pii.match.hits.md5, stage.session_ns); the text exposition renders
+// real label pairs.
 //
 // The instrumented hot paths — internal/proxy (flows, bytes, TLS-intercept
 // failures), internal/pii (match attempts and per-encoding hits),
@@ -35,8 +34,8 @@
 // into runtime.* gauges, serves per-window rates ("what is the leak rate
 // right now"), and evaluates Watch threshold rules — counter rate, gauge
 // level, or histogram quantile against a bound — logging one structured
-// warning per trip transition. cmd/avwtop is the terminal client for all
-// of this.
+// warning per trip transition. cmd/avwtop is the terminal client of the
+// series view.
 //
 // Two clocks coexist in this codebase: sessions run on the virtual clock
 // (internal/vclock), which makes four-minute sessions complete in

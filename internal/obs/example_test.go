@@ -8,7 +8,7 @@ import (
 )
 
 // Example instruments a fake pipeline stage: a counter for events, a span
-// timer feeding a latency histogram, and a JSON-exportable snapshot.
+// timer feeding a latency histogram, and a snapshot of the registry.
 func Example() {
 	reg := obs.New()
 

@@ -8,36 +8,23 @@ import (
 	"strings"
 )
 
-// Prometheus / OpenMetrics text exposition of a Registry. One encoder
-// serves both dialects: the classic text format 0.0.4 (what a default
-// Prometheus scrape_config consumes) and OpenMetrics 1.0 (# UNIT
-// metadata, counter families named without the _total sample suffix, a
-// terminating # EOF). Families are emitted in sorted name order and
-// series in sorted label order, so the output is byte-stable for golden
-// tests and diffing two scrapes.
+// Prometheus text exposition (format 0.0.4, what a default Prometheus
+// scrape_config consumes) of a Registry. Families are emitted in sorted
+// name order and series in sorted label order, so the output is
+// byte-stable for golden tests and diffing two scrapes.
 //
 // Mapping from the registry's dotted names:
 //
 //   - names sanitize to [a-zA-Z0-9_:] (dots and dashes become '_');
 //   - counters gain a _total sample suffix when they lack one;
-//   - labeled families render real label pairs instead of the legacy
-//     dotted suffixes (pii_match_hits_total{encoding="md5"});
+//   - labeled families render real label pairs instead of the dotted
+//     Snapshot suffixes (pii_match_hits_total{encoding="md5"});
 //   - histograms render as summaries: {quantile="0.5"|"0.95"|"0.99"},
-//     _sum and _count, matching the JSON snapshot's fields. Histogram
+//     _sum and _count, matching HistogramSnapshot's fields. Histogram
 //     rollups are omitted — the labeled family already carries the data
 //     and an aggregation would duplicate the prom name.
 
-const (
-	promContentType        = "text/plain; version=0.0.4; charset=utf-8"
-	openMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-)
-
-// WriteProm writes the registry in the Prometheus text format 0.0.4.
-func (r *Registry) WriteProm(w io.Writer) error { return r.writeExposition(w, false) }
-
-// WriteOpenMetrics writes the registry in the OpenMetrics 1.0 text
-// format, ending with # EOF.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error { return r.writeExposition(w, true) }
+const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // sample is one exposition line before formatting: a sample-name suffix,
 // label pairs, and a value.
@@ -51,15 +38,14 @@ type labelPair struct{ name, value string }
 
 // family is one metric family: metadata plus its samples.
 type family struct {
-	name    string // sanitized family name (without counter _total)
+	name    string // sanitized family name (counters end in _total)
 	mtype   string // counter | gauge | summary
-	unit    string
 	help    string
-	counter bool // samples carry the _total suffix
 	samples []sample
 }
 
-func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
+// WriteProm writes the registry in the Prometheus text format 0.0.4.
+func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.RLock()
 	counters := make(map[string]*Counter, len(r.counters))
 	for n, c := range r.counters {
@@ -90,16 +76,12 @@ func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 	var fams []family
 	for name, c := range counters {
 		fams = append(fams, family{
-			name: counterFamilyName(name), mtype: "counter", counter: true,
-			help:    helpFor(name),
-			samples: []sample{{value: c.Value()}},
+			name: counterFamilyName(name), mtype: "counter",
+			help: helpFor(name), samples: []sample{{value: c.Value()}},
 		})
 	}
 	for name, v := range cvecs {
-		f := family{
-			name: counterFamilyName(name), mtype: "counter", counter: true,
-			help: helpFor(name),
-		}
+		f := family{name: counterFamilyName(name), mtype: "counter", help: helpFor(name)}
 		v.v.series(func(vals []string, c *Counter) {
 			f.samples = append(f.samples, sample{labels: pairs(v.v.labels, vals), value: c.Value()})
 		})
@@ -119,14 +101,15 @@ func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 		fams = append(fams, f)
 	}
 	for name, h := range histograms {
-		f := family{name: sanitizeName(name), mtype: "summary", unit: h.Unit(), help: helpFor(name)}
-		f.samples = summarySamples(nil, h.Snapshot())
-		fams = append(fams, f)
+		fams = append(fams, family{
+			name: sanitizeName(name), mtype: "summary", help: helpFor(name),
+			samples: summarySamples(nil, h.Snapshot()),
+		})
 	}
 	for name, v := range hvecs {
 		f := family{
 			name:  sanitizeName(name) + "_" + v.unit,
-			mtype: "summary", unit: v.unit, help: helpFor(name),
+			mtype: "summary", help: helpFor(name),
 		}
 		v.v.series(func(vals []string, h *Histogram) {
 			f.samples = append(f.samples, summarySamples(pairs(v.v.labels, vals), h.Snapshot())...)
@@ -137,22 +120,12 @@ func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 
 	bw := bufio.NewWriter(w)
 	for _, f := range fams {
-		famName := f.name
-		if f.counter && openMetrics {
-			// OpenMetrics names the family without the _total suffix;
-			// the samples keep it.
-			famName = strings.TrimSuffix(f.name, "_total")
-		}
-		sampleName := f.name
 		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", famName, escapeHelp(f.help))
+			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", famName, f.mtype)
-		if openMetrics && f.unit != "" {
-			fmt.Fprintf(bw, "# UNIT %s %s\n", famName, f.unit)
-		}
+		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.mtype)
 		for _, s := range f.samples {
-			bw.WriteString(sampleName)
+			bw.WriteString(f.name)
 			bw.WriteString(s.suffix)
 			if len(s.labels) > 0 {
 				bw.WriteByte('{')
@@ -169,9 +142,6 @@ func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
 			}
 			fmt.Fprintf(bw, " %d\n", s.value)
 		}
-	}
-	if openMetrics {
-		bw.WriteString("# EOF\n")
 	}
 	return bw.Flush()
 }

@@ -63,18 +63,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestSnapshotJSONGolden pins the legacy /debug/metrics JSON byte-for-byte:
-// the vec migration must keep every pre-existing flat name
-// (pii.match.hits.<encoding>, stage.<stage>_ns, analysis.compute_ns, ...)
-// exactly as it serialized before labels existed.
-func TestSnapshotJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenRegistry().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "metrics.json", buf.Bytes())
-}
-
 func TestWritePromGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := goldenRegistry().WriteProm(&buf); err != nil {
@@ -83,29 +71,17 @@ func TestWritePromGolden(t *testing.T) {
 	checkGolden(t, "metrics.prom", buf.Bytes())
 }
 
-func TestWriteOpenMetricsGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenRegistry().WriteOpenMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	if !bytes.HasSuffix(out, []byte("# EOF\n")) {
-		t.Error("OpenMetrics output must end with # EOF")
-	}
-	checkGolden(t, "metrics.om", out)
-}
-
 // TestExpositionWellFormed checks structural invariants beyond the golden
 // bytes: every sample line belongs to a declared family, names stay in the
 // prom alphabet, and no family is declared twice.
 func TestExpositionWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goldenRegistry().WriteOpenMetrics(&buf); err != nil {
+	if err := goldenRegistry().WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	types := make(map[string]string)
 	for _, line := range strings.Split(buf.String(), "\n") {
-		if line == "" || line == "# EOF" {
+		if line == "" {
 			continue
 		}
 		if strings.HasPrefix(line, "# TYPE ") {
@@ -131,8 +107,7 @@ func TestExpositionWellFormed(t *testing.T) {
 		}
 		found := false
 		for fam := range types {
-			if name == fam || strings.HasPrefix(name, fam+"_") ||
-				(types[fam] == "counter" && name == fam+"_total") {
+			if name == fam || strings.HasPrefix(name, fam+"_") {
 				found = true
 				break
 			}
@@ -146,36 +121,36 @@ func TestExpositionWellFormed(t *testing.T) {
 	}
 }
 
+// TestHandlerNegotiation pins that /debug/metrics negotiates nothing: every
+// request, whatever its ?format= or Accept header, gets the Prometheus text
+// format 0.0.4 with the registry's full exposition.
 func TestHandlerNegotiation(t *testing.T) {
 	r := goldenRegistry()
-	get := func(target string, accept string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest("GET", target, nil)
-		if accept != "" {
-			req.Header.Set("Accept", accept)
+	var want bytes.Buffer
+	if err := r.WriteProm(&want); err != nil {
+		t.Fatal(err)
+	}
+	mux := DebugMux(r)
+	for _, c := range []struct{ target, accept string }{
+		{"/debug/metrics", ""},
+		{"/debug/metrics?format=json", ""},
+		{"/debug/metrics?format=openmetrics", ""},
+		{"/debug/metrics?format=prom", "application/json"},
+		{"/debug/metrics", "application/openmetrics-text;version=1.0.0"},
+		{"/debug/metrics", "application/json"},
+	} {
+		req := httptest.NewRequest("GET", c.target, nil)
+		if c.accept != "" {
+			req.Header.Set("Accept", c.accept)
 		}
 		w := httptest.NewRecorder()
-		r.Handler().ServeHTTP(w, req)
-		return w
-	}
-
-	if w := get("/debug/metrics", ""); !strings.HasPrefix(w.Header().Get("Content-Type"), "application/json") {
-		t.Errorf("default content type = %q, want JSON", w.Header().Get("Content-Type"))
-	}
-	if w := get("/debug/metrics?format=prom", ""); w.Header().Get("Content-Type") != promContentType {
-		t.Errorf("?format=prom content type = %q", w.Header().Get("Content-Type"))
-	}
-	if w := get("/debug/metrics?format=openmetrics", ""); w.Header().Get("Content-Type") != openMetricsContentType {
-		t.Errorf("?format=openmetrics content type = %q", w.Header().Get("Content-Type"))
-	}
-	if w := get("/debug/metrics", "application/openmetrics-text;version=1.0.0"); w.Header().Get("Content-Type") != openMetricsContentType {
-		t.Errorf("Accept openmetrics content type = %q", w.Header().Get("Content-Type"))
-	}
-	if w := get("/debug/metrics", "text/plain"); w.Header().Get("Content-Type") != promContentType {
-		t.Errorf("Accept text/plain content type = %q", w.Header().Get("Content-Type"))
-	}
-	// An explicit ?format=json wins over an Accept header.
-	if w := get("/debug/metrics?format=json", "text/plain"); !strings.HasPrefix(w.Header().Get("Content-Type"), "application/json") {
-		t.Errorf("?format=json with Accept text/plain = %q", w.Header().Get("Content-Type"))
+		mux.ServeHTTP(w, req)
+		if ct := w.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+			t.Errorf("%s (Accept %q): content type = %q", c.target, c.accept, ct)
+		}
+		if !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
+			t.Errorf("%s (Accept %q): body differs from WriteProm:\n%s", c.target, c.accept, w.Body.String())
+		}
 	}
 }
 

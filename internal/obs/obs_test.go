@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -152,32 +151,6 @@ func TestSpan(t *testing.T) {
 	}
 	if h.Count() != 1 || h.Sum() < int64(time.Millisecond) {
 		t.Fatalf("span not recorded: count=%d sum=%d", h.Count(), h.Sum())
-	}
-}
-
-func TestWriteJSONAndHandler(t *testing.T) {
-	r := New()
-	r.Counter("proxy.requests_total").Add(7)
-	r.Gauge("campaign.inflight").Set(2)
-	r.Histogram("stage.session_ns", "ns").Observe(1500)
-
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, rec.Body.String())
-	}
-	if snap.Counters["proxy.requests_total"] != 7 {
-		t.Fatalf("counter lost in export: %+v", snap.Counters)
-	}
-	if snap.Gauges["campaign.inflight"] != 2 {
-		t.Fatalf("gauge lost in export: %+v", snap.Gauges)
-	}
-	if h := snap.Histograms["stage.session_ns"]; h.Count != 1 || h.Unit != "ns" {
-		t.Fatalf("histogram lost in export: %+v", h)
 	}
 }
 

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -199,9 +197,9 @@ func (r *Registry) checkLabels(name string, have, want []string) {
 }
 
 // Snapshot is a point-in-time export of every metric in a registry.
-// Labeled series fold into the same flat maps under their legacy dotted
-// names (family + "." + label values, histograms with the unit suffix),
-// so the JSON wire format is unchanged by the vec migration.
+// Labeled series fold into the same flat maps under dotted names (family
+// + "." + label values, histograms with the unit suffix): the names the
+// Recorder's series view, Watch rules and StageTable key on.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
@@ -260,72 +258,21 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// WriteJSON writes the snapshot as indented JSON with sorted keys — the
-// /debug/metrics wire format documented in docs/metrics.md.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// Handler returns an http.Handler serving the snapshot. The format is
-// negotiated: ?format=prom (or an Accept header preferring
-// text/plain / application/openmetrics-text) selects the OpenMetrics
-// text exposition; the default remains the legacy JSON snapshot.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		switch negotiateFormat(req) {
-		case "openmetrics":
-			w.Header().Set("Content-Type", openMetricsContentType)
-			_ = r.WriteOpenMetrics(w)
-		case "prom":
-			w.Header().Set("Content-Type", promContentType)
-			_ = r.WriteProm(w)
-		default:
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			_ = r.WriteJSON(w)
-		}
-	})
-}
-
-// negotiateFormat picks the exposition format for one request: an explicit
-// ?format= wins; otherwise the Accept header is consulted; JSON is the
-// backward-compatible default.
-func negotiateFormat(req *http.Request) string {
-	switch req.URL.Query().Get("format") {
-	case "prom", "prometheus":
-		return "prom"
-	case "openmetrics":
-		return "openmetrics"
-	case "json":
-		return "json"
-	}
-	accept := req.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, "application/openmetrics-text"):
-		return "openmetrics"
-	case strings.Contains(accept, "text/plain"):
-		return "prom"
-	}
-	return "json"
-}
-
 // Recorder returns the Recorder attached to this registry, or nil if none
 // is running. NewRecorder attaches itself.
 func (r *Registry) Recorder() *Recorder { return r.recorder.Load() }
 
-// DebugMux returns a mux exposing the registry at /debug/metrics (JSON,
-// Prometheus, or OpenMetrics by content negotiation), the windowed
-// time-series view at /debug/metrics/series (404 until a Recorder is
-// attached), and the runtime profiler at /debug/pprof/ — the
-// observability surface the cmd binaries mount.
+// DebugMux returns a mux exposing the registry at /debug/metrics
+// (Prometheus text format 0.0.4), the windowed time-series view at
+// /debug/metrics/series (JSON; 404 until a Recorder is attached), and the
+// runtime profiler at /debug/pprof/ — the observability surface the cmd
+// binaries mount.
 func DebugMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/debug/metrics", r.Handler())
+	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", promContentType)
+		_ = r.WriteProm(w)
+	})
 	mux.HandleFunc("/debug/metrics/series", func(w http.ResponseWriter, req *http.Request) {
 		rec := r.Recorder()
 		if rec == nil {

@@ -131,7 +131,7 @@ func (v *vec[T]) get(vals []string, mk func() *T) *T {
 }
 
 // series invokes fn for every live series in sorted key order — the
-// deterministic iteration Snapshot and the OpenMetrics encoder share.
+// deterministic iteration Snapshot and WriteProm share.
 func (v *vec[T]) series(fn func(vals []string, child *T)) {
 	v.mu.RLock()
 	keys := append([]string(nil), v.order...)
@@ -192,8 +192,8 @@ func (g *GaugeVec) WithLabelValues(vals ...string) *Gauge {
 
 // HistogramVec is a family of Histograms distinguished by label values,
 // e.g. stage latency by pipeline stage. The unit is fixed for the whole
-// family. The family name excludes the unit suffix; each series' legacy
-// JSON name appends it (stage + session → stage.session_ns).
+// family. The family name excludes the unit suffix; each series' flat
+// Snapshot name appends it (stage + session → stage.session_ns).
 type HistogramVec struct {
 	v      *vec[Histogram]
 	unit   string
@@ -201,7 +201,7 @@ type HistogramVec struct {
 }
 
 // WithRollup names an aggregate series synthesized at snapshot time by
-// merging every child's buckets — the family total under a legacy flat
+// merging every child's buckets — the family total under a flat Snapshot
 // name (e.g. analysis.compute_ns over all artifacts). The merge sums raw
 // bucket counts, so its quantiles are exactly what one histogram
 // receiving every observation would report; the hot path records once,
@@ -243,11 +243,10 @@ func (h *HistogramVec) WithLabelValues(vals ...string) *Histogram {
 	return h.v.get(vals, func() *Histogram { return newHistogram(h.unit) })
 }
 
-// flatName renders a series under the legacy dotted JSON naming:
-// family name, one dot-joined segment per label value, and for
-// histograms the unit suffix ("stage" + ["session"] + "ns" →
-// "stage.session_ns"). This is what keeps /debug/metrics byte-compatible
-// across the migration from suffix-labeled flat metrics.
+// flatName renders a series under the dotted Snapshot naming: family
+// name, one dot-joined segment per label value, and for histograms the
+// unit suffix ("stage" + ["session"] + "ns" → "stage.session_ns"). Series
+// keys, Watch rules and stage tables address labeled series by it.
 func flatName(family string, vals []string, unit string) string {
 	n := family + "." + strings.Join(vals, ".")
 	if unit != "" {

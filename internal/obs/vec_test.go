@@ -46,8 +46,10 @@ func TestGaugeVecSnapshot(t *testing.T) {
 	v := r.GaugeVec("shard.depth", "shard")
 	v.WithLabelValues("0").Set(7)
 	v.WithLabelValues("1").Set(9)
+	r.GaugeVec("journal.depth", "shard", "state").WithLabelValues("0", "live").Set(5)
 	snap := r.Snapshot()
-	if snap.Gauges["shard.depth.0"] != 7 || snap.Gauges["shard.depth.1"] != 9 {
+	if snap.Gauges["shard.depth.0"] != 7 || snap.Gauges["shard.depth.1"] != 9 ||
+		snap.Gauges["journal.depth.0.live"] != 5 {
 		t.Fatalf("gauge vec flat names wrong: %+v", snap.Gauges)
 	}
 }
