@@ -162,6 +162,30 @@ func BenchmarkEngineWarmArtifacts(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineUpdate measures the per-snapshot cost a live report
+// server pays on every journal fold: one Handle.Update over the committed
+// dataset.json, alternating two snapshots that differ in their last
+// result, so every op fingerprints new content and invalidates.
+func BenchmarkEngineUpdate(b *testing.B) {
+	ds, err := core.Load("dataset.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := *ds
+	next.Results = append([]*core.ExperimentResult(nil), ds.Results...)
+	last := *next.Results[len(next.Results)-1]
+	last.AAFlows++
+	next.Results[len(next.Results)-1] = &last
+	snaps := [2]*core.Dataset{&next, ds}
+
+	h := analysis.NewEngine(analysis.EngineOptions{Metrics: obs.New()}).Register("bench", ds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Update(snaps[i%2])
+	}
+}
+
 // --- §4.2 / §3.2 prose experiments -------------------------------------------
 
 // BenchmarkPasswordLeakAudit extracts the password-disclosure cases (P0).

@@ -48,6 +48,7 @@ type encRate struct {
 type stats struct {
 	At      time.Time // the recorder's latest tick
 	Window  string    // server rate window the rates span
+	Span    float64   // seconds the rates cover when less than Window, else 0
 	Samples int       // recorder ticks held; rates need two
 
 	Requests   int64   // cumulative serve.requests_total
@@ -70,7 +71,8 @@ type stats struct {
 
 // computeStats derives the frame from one series view, reading rates over
 // window. Until the recorder holds two ticks the cumulative columns fill
-// and the rates stay zero.
+// and the rates stay zero; until it is as old as the window, Span records
+// the shorter time the rates cover.
 func computeStats(s obs.SeriesSnapshot, window string) (stats, error) {
 	if !slices.Contains(s.Windows, window) {
 		return stats{}, fmt.Errorf("server has no %q rate window (has %s)",
@@ -82,6 +84,9 @@ func computeStats(s obs.SeriesSnapshot, window string) (stats, error) {
 		Window:  window,
 		Samples: s.Samples,
 		Classes: make(map[string]int64),
+	}
+	if d, err := time.ParseDuration(window); err == nil && s.WindowSpanS[window] < d.Seconds() {
+		st.Span = s.WindowSpanS[window] // 0 before the second tick
 	}
 	st.Requests = c["serve.requests_total"].Value
 	st.RPS = c["serve.requests_total"].Rates[window]
@@ -162,8 +167,15 @@ func render(w io.Writer, url string, st stats, color bool) {
 	if color {
 		bold, dim, reset = ansiBold, ansiDim, ansiReset
 	}
-	fmt.Fprintf(w, "%savwtop%s — %s — %s %s(%s rates, %d ticks)%s\n\n",
-		bold, reset, url, st.At.Format("15:04:05"), dim, st.Window, st.Samples, reset)
+	over := ""
+	switch {
+	case st.Span >= 0.1:
+		over = fmt.Sprintf(" over %.1fs", st.Span)
+	case st.Span > 0:
+		over = fmt.Sprintf(" over %.0fms", st.Span*1000)
+	}
+	fmt.Fprintf(w, "%savwtop%s — %s — %s %s(%s rates%s, %d ticks)%s\n\n",
+		bold, reset, url, st.At.Format("15:04:05"), dim, st.Window, over, st.Samples, reset)
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "%srequests%s\t%.1f req/s\ttotal %d\t5xx %.2f/s\n",

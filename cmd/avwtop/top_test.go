@@ -91,11 +91,23 @@ func TestFetchComputeRender(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"req/s", "p99", "hit ratio 75.0%", "subscribers 2",
-		"goroutines", "identity", "md5", "10s rates, 2 ticks",
+		"goroutines", "identity", "md5", "(10s rates over ", "ms, 2 ticks)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q:\n%s", want, out)
 		}
+	}
+	// The two ticks lie ~20ms apart, far short of the 10s window, and the
+	// header says so; a window the ring fully covers shows no span.
+	if st.Span <= 0 || st.Span >= 10 {
+		t.Errorf("span = %vs, want the ticks' distance, under 10s", st.Span)
+	}
+	full := st
+	full.Span = 0
+	buf.Reset()
+	render(&buf, url, full, false)
+	if !strings.Contains(buf.String(), "(10s rates, 2 ticks)") {
+		t.Errorf("full-window frame header:\n%s", buf.String())
 	}
 	if strings.Contains(out, "\x1b[") {
 		t.Error("plain frame contains ANSI control codes")

@@ -7,124 +7,55 @@ import (
 	"fmt"
 
 	"appvsweb/internal/core"
-	"appvsweb/internal/pii"
 )
 
 // An artifact is one self-contained evaluation deliverable — the full
 // report, a table, a figure panel as CSV or SVG, the cross-service survey
 // — computed from a dataset and served as bytes. The registry below is the
 // engine's unit of caching and parallelism: every artifact is an
-// independent job keyed by a fingerprint of the slice of the dataset it
-// actually reads (its view), so an incremental fold that leaves a view
-// unchanged leaves its artifacts cached.
+// independent job keyed by its ID and one fingerprint of the dataset
+// content. Every artifact reads the same service × OS × medium results, so
+// a fold that changes the content changes the input of every artifact.
 
 // Artifact is one computed deliverable, ready to serve.
 type Artifact struct {
 	ID          string `json:"id"`
 	ContentType string `json:"content_type"`
-	// ETag is a strong validator derived from the artifact's view
-	// fingerprint: identical dataset content yields identical ETags across
-	// processes, so HTTP caches revalidate with 304s even after a restart.
+	// ETag is a strong validator derived from the dataset fingerprint:
+	// identical dataset content yields identical ETags across processes,
+	// so HTTP caches revalidate with 304s even after a restart.
 	ETag  string `json:"etag"`
 	Bytes []byte `json:"-"`
 }
 
-// viewID names a projection of the dataset an artifact family reads.
-type viewID int
-
-const (
-	// viewFull covers everything the report renders (all result fields,
-	// the ReCon evaluation reports, scale/services).
-	viewFull viewID = iota
-	// viewLeaks covers the leak-derived artifacts: per-result identity,
-	// exclusion, leak records, leak types, PII/A&A domain sets.
-	viewLeaks
-	// viewComparative covers the app-vs-web figure metrics: A&A
-	// domain/flow/byte counts, PII domain counts, leaked type sets.
-	viewComparative
-	numViews
-)
-
-// viewLeaksResult is the canonical projection hashed for viewLeaks.
-type viewLeaksResult struct {
-	Service    string            `json:"s"`
-	Name       string            `json:"n"`
-	Category   string            `json:"c"`
-	Rank       int               `json:"r"`
-	OS         string            `json:"o"`
-	Medium     string            `json:"m"`
-	Excluded   bool              `json:"x,omitempty"`
-	Leaks      []core.LeakRecord `json:"l,omitempty"`
-	LeakTypes  pii.TypeSet       `json:"t"`
-	PIIDomains []string          `json:"p,omitempty"`
-	AADomains  []string          `json:"a,omitempty"`
-}
-
-// viewComparativeResult is the canonical projection hashed for
-// viewComparative.
-type viewComparativeResult struct {
-	Service    string      `json:"s"`
-	OS         string      `json:"o"`
-	Medium     string      `json:"m"`
-	Excluded   bool        `json:"x,omitempty"`
-	AADomains  []string    `json:"a,omitempty"`
-	AAFlows    int         `json:"f"`
-	AABytes    int64       `json:"b"`
-	PIIDomains []string    `json:"p,omitempty"`
-	LeakTypes  pii.TypeSet `json:"t"`
-}
-
-// viewFingerprint hashes one view of a dataset. GeneratedAt and Duration
-// are deliberately excluded everywhere: two campaigns producing identical
-// content must fingerprint identically (that property is what makes a
-// resumed run's artifacts provably byte-identical to an uninterrupted
-// one, and what lets HTTP caches survive a server restart).
-func viewFingerprint(ds *core.Dataset, v viewID) (string, error) {
+// fingerprint hashes the dataset content every artifact reads: all
+// result fields, the ReCon evaluation reports, scale/services, failures
+// and stale-resume notes. GeneratedAt and Duration are deliberately
+// excluded: two campaigns producing identical content must fingerprint
+// identically (that property is what makes a resumed run's artifacts
+// provably byte-identical to an uninterrupted one, and what lets HTTP
+// caches survive a server restart).
+func fingerprint(ds *core.Dataset) (string, error) {
 	h := sha256.New()
-	enc := json.NewEncoder(h)
-	switch v {
-	case viewFull:
-		if err := enc.Encode(struct {
-			Scale        float64                  `json:"scale"`
-			Services     int                      `json:"services"`
-			ReconReport  string                   `json:"recon,omitempty"`
-			ReconHoldout string                   `json:"holdout,omitempty"`
-			Failures     []core.FailureRecord     `json:"failures,omitempty"`
-			Stale        []string                 `json:"stale,omitempty"`
-			Results      []*core.ExperimentResult `json:"results"`
-		}{ds.Meta.Scale, ds.Meta.Services, ds.Meta.ReconReport, ds.Meta.ReconHoldout,
-			ds.Meta.Failures, ds.Meta.StaleResume, ds.Results}); err != nil {
-			return "", err
-		}
-	case viewLeaks:
-		for _, r := range ds.Results {
-			if err := enc.Encode(viewLeaksResult{
-				r.Service, r.Name, string(r.Category), r.Rank, string(r.OS), string(r.Medium),
-				r.Excluded, r.Leaks, r.LeakTypes, r.PIIDomains, r.AADomains,
-			}); err != nil {
-				return "", err
-			}
-		}
-	case viewComparative:
-		for _, r := range ds.Results {
-			if err := enc.Encode(viewComparativeResult{
-				r.Service, string(r.OS), string(r.Medium), r.Excluded,
-				r.AADomains, r.AAFlows, r.AABytes, r.PIIDomains, r.LeakTypes,
-			}); err != nil {
-				return "", err
-			}
-		}
-	default:
-		return "", fmt.Errorf("analysis: unknown view %d", v)
+	if err := json.NewEncoder(h).Encode(struct {
+		Scale        float64                  `json:"scale"`
+		Services     int                      `json:"services"`
+		ReconReport  string                   `json:"recon,omitempty"`
+		ReconHoldout string                   `json:"holdout,omitempty"`
+		Failures     []core.FailureRecord     `json:"failures,omitempty"`
+		Stale        []string                 `json:"stale,omitempty"`
+		Results      []*core.ExperimentResult `json:"results"`
+	}{ds.Meta.Scale, ds.Meta.Services, ds.Meta.ReconReport, ds.Meta.ReconHoldout,
+		ds.Meta.Failures, ds.Meta.StaleResume, ds.Results}); err != nil {
+		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// artifactSpec wires one artifact ID to its view and compute function.
+// artifactSpec wires one artifact ID to its compute function.
 type artifactSpec struct {
 	id          string
 	contentType string
-	view        viewID
 	compute     func(*core.Dataset) ([]byte, error)
 }
 
@@ -149,27 +80,27 @@ var artifactSpecs = buildArtifactSpecs()
 
 func buildArtifactSpecs() []artifactSpec {
 	specs := []artifactSpec{
-		{"report", "text/plain; charset=utf-8", viewFull, textArtifact(Report)},
-		{"report.md", "text/markdown; charset=utf-8", viewFull, textArtifact(ReportMarkdown)},
-		{"compare", "text/plain; charset=utf-8", viewFull, textArtifact(func(ds *core.Dataset) string {
+		{"report", "text/plain; charset=utf-8", textArtifact(Report)},
+		{"report.md", "text/markdown; charset=utf-8", textArtifact(ReportMarkdown)},
+		{"compare", "text/plain; charset=utf-8", textArtifact(func(ds *core.Dataset) string {
 			return RenderCompare(Compare(ds))
 		})},
-		{"stats.json", "application/json", viewFull, jsonArtifact(func(ds *core.Dataset) any {
+		{"stats.json", "application/json", jsonArtifact(func(ds *core.Dataset) any {
 			return ds.Stats()
 		})},
-		{"headlines.json", "application/json", viewComparative, jsonArtifact(func(ds *core.Dataset) any {
+		{"headlines.json", "application/json", jsonArtifact(func(ds *core.Dataset) any {
 			return ComputeHeadlines(ds)
 		})},
-		{"table1", "text/plain; charset=utf-8", viewLeaks, textArtifact(func(ds *core.Dataset) string {
+		{"table1", "text/plain; charset=utf-8", textArtifact(func(ds *core.Dataset) string {
 			return RenderTable1Grid(Table1(ds))
 		})},
-		{"table2", "text/plain; charset=utf-8", viewLeaks, textArtifact(func(ds *core.Dataset) string {
+		{"table2", "text/plain; charset=utf-8", textArtifact(func(ds *core.Dataset) string {
 			return RenderTable2(Table2(ds, 20))
 		})},
-		{"table3", "text/plain; charset=utf-8", viewLeaks, textArtifact(func(ds *core.Dataset) string {
+		{"table3", "text/plain; charset=utf-8", textArtifact(func(ds *core.Dataset) string {
 			return RenderTable3(Table3(ds))
 		})},
-		{"passwords", "text/plain; charset=utf-8", viewLeaks, func(ds *core.Dataset) ([]byte, error) {
+		{"passwords", "text/plain; charset=utf-8", func(ds *core.Dataset) ([]byte, error) {
 			var b []byte
 			for _, s := range PasswordLeaks(ds) {
 				b = append(b, s...)
@@ -177,15 +108,15 @@ func buildArtifactSpecs() []artifactSpec {
 			}
 			return b, nil
 		}},
-		{"crossservice", "text/plain; charset=utf-8", viewLeaks, textArtifact(func(ds *core.Dataset) string {
+		{"crossservice", "text/plain; charset=utf-8", textArtifact(func(ds *core.Dataset) string {
 			return RenderCrossService(CrossService(ds, 2))
 		})},
-		{"figures", "text/plain; charset=utf-8", viewComparative, textArtifact(Figures)},
+		{"figures", "text/plain; charset=utf-8", textArtifact(Figures)},
 	}
 	for _, id := range FigureIDs() {
 		id := id
 		specs = append(specs,
-			artifactSpec{"figure-" + id + ".csv", "text/csv; charset=utf-8", viewComparative,
+			artifactSpec{"figure-" + id + ".csv", "text/csv; charset=utf-8",
 				func(ds *core.Dataset) ([]byte, error) {
 					out, ok := FigureCSV(ds, id)
 					if !ok {
@@ -193,7 +124,7 @@ func buildArtifactSpecs() []artifactSpec {
 					}
 					return []byte(out), nil
 				}},
-			artifactSpec{"figure-" + id + ".svg", "image/svg+xml", viewComparative,
+			artifactSpec{"figure-" + id + ".svg", "image/svg+xml",
 				func(ds *core.Dataset) ([]byte, error) {
 					out, ok := FigureSVG(ds, id)
 					if !ok {

@@ -17,7 +17,7 @@ import (
 // Engine is the memoized, parallel artifact-computation layer: every
 // evaluation deliverable (report, tables, figures, surveys) is an
 // independent job, fanned out across a bounded worker pool and cached by
-// a fingerprint of the dataset view it reads. Concurrent requests for a
+// its ID and a fingerprint of the dataset content. Concurrent requests for a
 // cold artifact are deduplicated (singleflight): exactly one goroutine
 // computes, the rest wait and share the result. A warm fetch is a map
 // lookup — no recomputation, which is what lets avwserve serve heavy
@@ -58,6 +58,10 @@ type cacheEntry struct {
 	err  error
 }
 
+// maxCacheEntries bounds the artifact cache; the oldest entries are
+// evicted beyond it. 1024 is roughly 40 dataset generations' worth.
+const maxCacheEntries = 1024
+
 // EngineOptions configure an Engine.
 type EngineOptions struct {
 	// Metrics receives the engine's instrumentation (analysis.* names in
@@ -69,9 +73,6 @@ type EngineOptions struct {
 	// Workers bounds concurrent artifact computations in ComputeAll.
 	// Default: NumCPU, capped at 8 (matching campaign parallelism).
 	Workers int
-	// MaxEntries bounds the artifact cache; the oldest entries are evicted
-	// beyond it. Default 1024 — roughly 40 dataset generations' worth.
-	MaxEntries int
 	// Store, when non-nil, persists computed artifacts of static datasets
 	// on disk and rehydrates them on cache miss, so a restarted or
 	// horizontally-scaled process serves without recomputing
@@ -94,15 +95,12 @@ func NewEngine(opts EngineOptions) *Engine {
 			opts.Workers = 8
 		}
 	}
-	if opts.MaxEntries <= 0 {
-		opts.MaxEntries = 1024
-	}
 	dropped := opts.Metrics.Counter("analysis.events_dropped_total")
 	return &Engine{
 		metrics:    opts.Metrics,
 		tracer:     opts.Tracer,
 		workers:    opts.Workers,
-		maxEntries: opts.MaxEntries,
+		maxEntries: maxCacheEntries,
 		store:      opts.Store,
 		bus:        newBus(opts.EventQueue, dropped.Inc),
 		hits:       opts.Metrics.Counter("analysis.cache_hits_total"),
@@ -126,8 +124,8 @@ func NewEngine(opts EngineOptions) *Engine {
 // Handle is one registered dataset: a named, generation-counted snapshot
 // the engine computes artifacts against. Static datasets register once;
 // live campaigns update the handle as journal records fold in
-// (generation++ invalidates exactly the artifacts whose views changed —
-// unchanged views keep their fingerprints, hence their cache entries).
+// (generation++; a snapshot with new content gets a new fingerprint, hence
+// new cache entries for every artifact).
 type Handle struct {
 	name string
 	eng  *Engine
@@ -136,12 +134,14 @@ type Handle struct {
 	mu    sync.RWMutex
 	ds    *core.Dataset
 	gen   uint64
-	views map[viewID]string // fingerprints memoized per generation
+	fp    string // fingerprint of ds, computed once per snapshot
+	fpErr error  // why fp could not be computed, if it could not
 }
 
 // Register adds (or replaces) a named dataset and returns its handle.
 func (e *Engine) Register(name string, ds *core.Dataset) *Handle {
-	h := &Handle{name: name, eng: e, ds: ds, gen: 1, views: make(map[viewID]string)}
+	fp, err := fingerprint(ds)
+	h := &Handle{name: name, eng: e, ds: ds, gen: 1, fp: fp, fpErr: err}
 	e.hmu.Lock()
 	e.handles[name] = h
 	e.hmu.Unlock()
@@ -196,59 +196,27 @@ func (h *Handle) Dataset() *core.Dataset {
 	return h.ds
 }
 
-// Update replaces the handle's snapshot. Artifacts whose views the new
-// snapshot leaves unchanged remain cached (their fingerprints are
-// identical); only affected artifacts recompute on next request. An
-// invalidation Event naming exactly the artifacts whose content changed is
-// published to the engine's bus (Engine.Subscribe), which is what drives
-// the SSE push channel at /api/{ds}/events.
+// Update replaces the handle's snapshot. New content moves the dataset
+// fingerprint, so every artifact recomputes on next request; identical
+// content keeps the fingerprint, and every artifact stays cached. An
+// invalidation Event naming the artifacts whose content changed (all of
+// them or none) is published to the engine's bus (Engine.Subscribe),
+// which is what drives the SSE push channel at /api/{ds}/events.
 func (h *Handle) Update(ds *core.Dataset) {
-	// Fingerprint every view of the new snapshot up front: the memo makes
-	// later Artifact calls cheaper, and the old-vs-new comparison below is
-	// what names the invalidated artifacts precisely.
-	newViews := make(map[viewID]string, numViews)
-	for v := viewID(0); v < numViews; v++ {
-		fp, err := viewFingerprint(ds, v)
-		if err != nil {
-			newViews = nil
-			break
-		}
-		newViews[v] = fp
-	}
+	fp, err := fingerprint(ds)
 
 	h.mu.Lock()
-	oldDS, oldViews := h.ds, h.views
-	h.ds = ds
+	oldFP := h.fp
+	h.ds, h.fp, h.fpErr = ds, fp, err
 	h.gen++
 	gen := h.gen
-	if newViews != nil {
-		h.views = newViews
-	} else {
-		h.views = make(map[viewID]string)
-	}
 	h.mu.Unlock()
 
-	// A view whose fingerprint moved (or could not be compared) invalidates
-	// every artifact reading it; report them in registry order.
-	changed := make(map[viewID]bool, numViews)
-	for v := viewID(0); v < numViews; v++ {
-		oldFP, ok := oldViews[v]
-		if !ok {
-			if fp, err := viewFingerprint(oldDS, v); err == nil {
-				oldFP = fp
-			}
-		}
-		newFP := ""
-		if newViews != nil {
-			newFP = newViews[v]
-		}
-		changed[v] = oldFP == "" || newFP == "" || oldFP != newFP
-	}
+	// A fingerprint that moved, or could not be computed, invalidates
+	// every artifact.
 	var invalidated []string
-	for _, spec := range artifactSpecs {
-		if changed[spec.view] {
-			invalidated = append(invalidated, spec.id)
-		}
+	if fp == "" || fp != oldFP {
+		invalidated = ArtifactIDs()
 	}
 	stats := ds.Stats()
 	h.eng.publish(Event{
@@ -264,30 +232,6 @@ func (e *Engine) publish(ev Event) {
 	e.bus.Publish(ev)
 }
 
-// snapshotView resolves the handle's current dataset and the memoized
-// fingerprint of one view, computing it on first access per generation.
-func (h *Handle) snapshotView(v viewID) (*core.Dataset, string, error) {
-	h.mu.RLock()
-	ds, gen := h.ds, h.gen
-	if fp, ok := h.views[v]; ok {
-		h.mu.RUnlock()
-		return ds, fp, nil
-	}
-	h.mu.RUnlock()
-	fp, err := viewFingerprint(ds, v)
-	if err != nil {
-		return nil, "", err
-	}
-	h.mu.Lock()
-	// Memoize only if no Update raced the hash; a stale memo would pin old
-	// artifacts to the new generation.
-	if h.gen == gen {
-		h.views[v] = fp
-	}
-	h.mu.Unlock()
-	return ds, fp, nil
-}
-
 // Artifact returns one artifact for the handle's current snapshot,
 // computing it on cache miss and deduplicating concurrent cold requests.
 func (h *Handle) Artifact(ctx context.Context, id string) (Artifact, error) {
@@ -295,7 +239,9 @@ func (h *Handle) Artifact(ctx context.Context, id string) (Artifact, error) {
 	if !ok {
 		return Artifact{}, fmt.Errorf("analysis: unknown artifact %q (known: %v)", id, ArtifactIDs())
 	}
-	ds, fp, err := h.snapshotView(spec.view)
+	h.mu.RLock()
+	ds, fp, err := h.ds, h.fp, h.fpErr
+	h.mu.RUnlock()
 	if err != nil {
 		return Artifact{}, err
 	}
@@ -305,7 +251,7 @@ func (h *Handle) Artifact(ctx context.Context, id string) (Artifact, error) {
 	return h.eng.artifact(ctx, fp, spec, ds, !h.live)
 }
 
-// etagOf derives the strong ETag for an artifact from its view
+// etagOf derives the strong ETag for an artifact from the dataset
 // fingerprint.
 func etagOf(fp, id string) string {
 	return `"` + fp[:16] + "-" + id + `"`
@@ -363,7 +309,7 @@ func (e *Engine) artifact(ctx context.Context, fp string, spec *artifactSpec, ds
 	e.tracer.Emit(trace.Event{Type: trace.EvArtifactCompute, DurNS: dur.Nanoseconds(),
 		Attrs: map[string]string{
 			"artifact": spec.id,
-			"view":     fp[:16],
+			"view":     fp[:16], // dataset fingerprint prefix
 			"bytes":    strconv.Itoa(len(b)),
 		}})
 	if err != nil {

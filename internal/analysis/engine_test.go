@@ -125,50 +125,6 @@ func TestEngineSingleflight(t *testing.T) {
 	}
 }
 
-// TestEngineUpdateInvalidatesOnlyAffectedViews: an Update that changes the
-// full view but not the comparative view recomputes the report and serves
-// headlines from cache with an unchanged ETag.
-func TestEngineUpdateInvalidatesOnlyAffectedViews(t *testing.T) {
-	eng, reg := testEngine(t)
-	ds := synthDataset()
-	h := eng.Register("synth", ds)
-
-	report1, err := h.Artifact(context.Background(), "report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	head1, err := h.Artifact(context.Background(), "headlines.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	missesBefore := reg.Snapshot().Counters["analysis.cache_misses_total"]
-
-	// Change only metadata the full view covers: the comparative view's
-	// fingerprint is untouched.
-	ds2 := *ds
-	ds2.Meta.ReconReport = "precision=1.000 recall=1.000"
-	h.Update(&ds2)
-
-	report2, err := h.Artifact(context.Background(), "report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	head2, err := h.Artifact(context.Background(), "headlines.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report2.ETag == report1.ETag {
-		t.Error("report ETag unchanged after a full-view update")
-	}
-	if head2.ETag != head1.ETag || !bytes.Equal(head2.Bytes, head1.Bytes) {
-		t.Error("headlines invalidated by an update that did not touch its view")
-	}
-	misses := reg.Snapshot().Counters["analysis.cache_misses_total"]
-	if misses != missesBefore+1 {
-		t.Errorf("misses %d -> %d, want exactly one recompute (the report)", missesBefore, misses)
-	}
-}
-
 // TestEngineETagStableAcrossEngines: identical dataset content yields
 // identical ETags and bytes in independent engines, regardless of
 // generation timestamps — the property that keeps HTTP caches valid across
@@ -289,7 +245,8 @@ func TestEngineConcurrentUpdates(t *testing.T) {
 // TestEngineEviction: the cache stays bounded and eviction is counted.
 func TestEngineEviction(t *testing.T) {
 	reg := obs.New()
-	eng := NewEngine(EngineOptions{Metrics: reg, MaxEntries: 5})
+	eng := NewEngine(EngineOptions{Metrics: reg})
+	eng.maxEntries = 5
 	h := eng.Register("synth", synthDataset())
 	for _, id := range ArtifactIDs() {
 		if _, err := h.Artifact(context.Background(), id); err != nil {

@@ -12,10 +12,11 @@ import (
 
 // Event is one artifact-invalidation notification: dataset x advanced to
 // generation g, and the artifacts listed in Invalidated now have new
-// content (their view fingerprints — hence their ETags — changed). An
-// empty Invalidated list with a bumped generation means the update left
-// every view's content identical (for example, a journal record that was
-// re-appended verbatim).
+// content (the dataset fingerprint — hence their ETags — changed). Every
+// artifact reads the one fingerprint, so the list is either every
+// artifact ID or empty; an empty list with a bumped generation means the
+// update left the content identical (for example, a journal record that
+// was re-appended verbatim).
 type Event struct {
 	Dataset     string   `json:"dataset"`
 	Generation  uint64   `json:"generation"`

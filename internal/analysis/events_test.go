@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"context"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,35 +84,37 @@ func TestBusSlowConsumerEvicted(t *testing.T) {
 	sub.Close() // must be safe after eviction
 }
 
-// TestUpdatePublishesPreciseInvalidation: an update that changes only the
-// comparative aggregates invalidates the figure/headline artifacts and the
-// full-view artifacts, but not the leak-view tables.
-func TestUpdatePublishesPreciseInvalidation(t *testing.T) {
+// TestUpdateContentChangeInvalidatesEverything: any content change moves
+// the one dataset fingerprint, so the event names exactly ArtifactIDs()
+// and every artifact's ETag moves with it.
+func TestUpdateContentChangeInvalidatesEverything(t *testing.T) {
 	eng, _ := testEngine(t)
 	h := eng.Register("x", synthDataset())
 	sub := eng.Subscribe("x")
 	defer sub.Close()
+	before, err := h.ComputeAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ds2 := synthDataset()
-	ds2.Results[0].AAFlows += 13 // comparative + full views move; leaks view does not
+	ds2.Results[0].AAFlows += 13
 	h.Update(ds2)
 
 	ev := recvEvent(t, sub)
 	if ev.Dataset != "x" || ev.Generation != 2 {
 		t.Fatalf("event = %+v", ev)
 	}
-	got := make(map[string]bool, len(ev.Invalidated))
-	for _, id := range ev.Invalidated {
-		got[id] = true
+	if !slices.Equal(ev.Invalidated, ArtifactIDs()) {
+		t.Fatalf("invalidated = %v, want every artifact %v", ev.Invalidated, ArtifactIDs())
 	}
-	for _, want := range []string{"report", "figures", "headlines.json", "figure-1b.csv"} {
-		if !got[want] {
-			t.Errorf("invalidated %v missing %q", ev.Invalidated, want)
-		}
+	after, err := h.ComputeAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, stable := range []string{"table1", "table2", "passwords", "crossservice"} {
-		if got[stable] {
-			t.Errorf("leak-view artifact %q invalidated by a comparative-only change", stable)
+	for i := range after {
+		if after[i].ETag == before[i].ETag {
+			t.Errorf("%s: ETag %s unchanged after a content change", after[i].ID, after[i].ETag)
 		}
 	}
 }

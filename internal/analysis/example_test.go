@@ -10,7 +10,7 @@ import (
 )
 
 // ExampleOpenStore shows the persistent artifact store as a standalone
-// content-addressed cache: entries are keyed by (view fingerprint,
+// content-addressed cache: entries are keyed by (dataset fingerprint,
 // artifact ID), written atomically, and verified — fingerprint, ID, and
 // payload SHA-256 — before a read is trusted.
 func ExampleOpenStore() {
@@ -40,7 +40,7 @@ func ExampleOpenStore() {
 }
 
 // ExampleEngine_Subscribe shows the invalidation push channel: updating a
-// handle's snapshot publishes one event per generation, naming exactly the
+// handle's snapshot publishes one event per generation, naming the
 // artifacts whose content changed. avwserve forwards these to SSE clients
 // at /api/{ds}/events.
 func ExampleEngine_Subscribe() {
@@ -51,14 +51,20 @@ func ExampleEngine_Subscribe() {
 	defer sub.Close()
 
 	// A live fold (or any snapshot replacement) bumps the generation. Only
-	// Meta.Scale changes here, which the full view reads but the leak and
-	// comparative views do not — so exactly the four full-view artifacts
-	// (report, report.md, compare, stats.json) are invalidated.
+	// Meta.Scale changes here, but every artifact reads the one dataset
+	// fingerprint, so all of them are invalidated.
 	h.Update(&core.Dataset{Meta: core.Meta{Scale: 0.5}})
-
 	ev := <-sub.C()
+	fmt.Printf("dataset=%s generation=%d invalidated=%d of %d\n",
+		ev.Dataset, ev.Generation, len(ev.Invalidated), len(analysis.ArtifactIDs()))
+
+	// Identical content keeps the fingerprint: the generation still bumps,
+	// but nothing is invalidated.
+	h.Update(&core.Dataset{Meta: core.Meta{Scale: 0.5}})
+	ev = <-sub.C()
 	fmt.Printf("dataset=%s generation=%d invalidated=%v\n",
 		ev.Dataset, ev.Generation, ev.Invalidated)
 	// Output:
-	// dataset=campaign generation=2 invalidated=[report report.md compare stats.json]
+	// dataset=campaign generation=2 invalidated=23 of 23
+	// dataset=campaign generation=3 invalidated=[]
 }

@@ -15,8 +15,8 @@ import (
 // loading its saved dataset, the engine can tail the campaign's crash-safe
 // journal (core.Journal JSONL) while it is still being written. Each
 // completed experiment record folds into a running partial dataset; the
-// handle's generation bumps and only the artifacts whose views actually
-// changed recompute. The fold is a core.JournalSet, the same one a cold
+// handle's generation bumps, the dataset fingerprint moves, and every
+// artifact recomputes on its next request. The fold is a core.JournalSet, the same one a cold
 // load builds, so a live tail that has seen the whole journal produces
 // byte-identical artifacts to a cold load of the same file — the
 // differential property live_test.go pins.
@@ -83,8 +83,8 @@ func (t *LiveTail) Handle() *Handle { return t.h }
 
 // Poll performs one incremental read of the journal: consume newly
 // appended complete lines, fold valid records, and — if anything changed —
-// update the handle (bumping its generation, invalidating exactly the
-// artifacts whose views the new records touched). It returns whether the
+// update the handle (bumping its generation and, when the fold changed the
+// content, invalidating every artifact). It returns whether the
 // dataset changed. A missing journal is not an error; a replaced journal
 // (the campaign restarted without -resume) resets the fold. Replacement is
 // detected three ways, because size alone is not enough — a fresh journal

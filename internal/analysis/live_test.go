@@ -32,7 +32,7 @@ func resultRecord(res *core.ExperimentResult) core.JournalRecord {
 // every partial generation along the way — must, once the journal is
 // complete, produce byte- and ETag-identical artifacts to a cold engine
 // that loaded the finished journal in one shot. This pins the whole
-// incremental path: the fold order, the view fingerprints, and the
+// incremental path: the fold order, the dataset fingerprint, and the
 // invalidation logic.
 func TestLiveTailDifferentialVsCold(t *testing.T) {
 	ds := synthDataset()

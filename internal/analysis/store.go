@@ -11,9 +11,8 @@ import (
 )
 
 // Store is the persistent artifact cache: a content-addressed on-disk
-// mirror of the engine's in-memory cache, keyed by (view fingerprint,
-// artifact ID). Because the key is a SHA-256 of the dataset content an
-// artifact reads — not a campaign name or a timestamp — a restarted
+// mirror of the engine's in-memory cache, keyed by (dataset fingerprint,
+// artifact ID). Because the key is a SHA-256 of the dataset content — not a campaign name or a timestamp — a restarted
 // server, or a second replica pointed at the same directory, rehydrates
 // every artifact it has ever computed instead of recomputing, and two
 // campaigns that measured identical content share entries.
@@ -22,7 +21,7 @@ import (
 //
 //	<dir>/<fp[:2]>/<fp>-<artifact id>
 //
-// where fp is the full 64-hex-char view fingerprint. Each entry is one
+// where fp is the full 64-hex-char dataset fingerprint. Each entry is one
 // JSON header line (version, fingerprint, artifact ID, content type,
 // payload SHA-256, payload length) followed by the raw artifact bytes.
 //
@@ -45,7 +44,7 @@ type Store struct {
 // storeHeader is the first line of every entry.
 type storeHeader struct {
 	Version     int    `json:"v"`
-	View        string `json:"view"`
+	View        string `json:"view"` // the dataset fingerprint
 	ID          string `json:"id"`
 	ContentType string `json:"content_type"`
 	SHA256      string `json:"sha256"`
@@ -73,7 +72,7 @@ func (s *Store) path(fp, id string) string {
 	return filepath.Join(s.dir, fp[:2], fp+"-"+id)
 }
 
-// Get looks up one artifact by view fingerprint and ID. It returns
+// Get looks up one artifact by dataset fingerprint and ID. It returns
 // (payload, true, nil) on a verified hit, (nil, false, nil) on a miss, and
 // a non-nil error when an entry exists but fails verification or cannot be
 // read — in which case the corrupt entry has been deleted so the next

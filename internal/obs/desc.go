@@ -90,8 +90,8 @@ var descriptions = map[string]MetricDesc{
 
 	// internal/analysis
 	"analysis.cache_hits_total":        {Type: "counter", Help: "Artifact requests served from the engine cache (warm fetches plus singleflight joiners)."},
-	"analysis.cache_misses_total":      {Type: "counter", Help: "Artifact requests that computed: one per (dataset-view fingerprint, artifact) pair actually built."},
-	"analysis.cache_evictions_total":   {Type: "counter", Help: "Cached artifacts evicted because an insert pushed the cache past EngineOptions.MaxEntries."},
+	"analysis.cache_misses_total":      {Type: "counter", Help: "Artifact requests that computed: one per (dataset fingerprint, artifact) pair actually built."},
+	"analysis.cache_evictions_total":   {Type: "counter", Help: "Cached artifacts evicted because an insert pushed the cache past its 1024-entry bound."},
 	"analysis.store_hits_total":        {Type: "counter", Help: "Artifact requests rehydrated from the persistent store instead of computed."},
 	"analysis.store_misses_total":      {Type: "counter", Help: "Store lookups that found no entry (the artifact is then computed and written back)."},
 	"analysis.store_writes_total":      {Type: "counter", Help: "Artifacts mirrored into the store after a compute (atomic temp+rename)."},

@@ -193,14 +193,17 @@ type HistogramSeries struct {
 
 // SeriesSnapshot is the /debug/metrics/series wire format: the latest
 // cumulative values joined with per-window rates computed from the ring.
+// WindowSpanS holds the seconds each window's rates actually cover: the
+// full window once the ring is old enough, less while it is younger.
 type SeriesSnapshot struct {
-	At         time.Time                  `json:"at"`
-	IntervalS  float64                    `json:"interval_s"`
-	Windows    []string                   `json:"windows"`
-	Samples    int                        `json:"samples"`
-	Counters   map[string]CounterSeries   `json:"counters"`
-	Gauges     map[string]int64           `json:"gauges"`
-	Histograms map[string]HistogramSeries `json:"histograms"`
+	At          time.Time                  `json:"at"`
+	IntervalS   float64                    `json:"interval_s"`
+	Windows     []string                   `json:"windows"`
+	WindowSpanS map[string]float64         `json:"window_span_s,omitempty"`
+	Samples     int                        `json:"samples"`
+	Counters    map[string]CounterSeries   `json:"counters"`
+	Gauges      map[string]int64           `json:"gauges"`
+	Histograms  map[string]HistogramSeries `json:"histograms"`
 }
 
 // Series computes the windowed view from the ring. With fewer than two
@@ -208,11 +211,12 @@ type SeriesSnapshot struct {
 func (rec *Recorder) Series() SeriesSnapshot {
 	ticks := rec.ticks()
 	out := SeriesSnapshot{
-		IntervalS:  rec.interval.Seconds(),
-		Samples:    len(ticks),
-		Counters:   make(map[string]CounterSeries),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramSeries),
+		IntervalS:   rec.interval.Seconds(),
+		WindowSpanS: make(map[string]float64),
+		Samples:     len(ticks),
+		Counters:    make(map[string]CounterSeries),
+		Gauges:      make(map[string]int64),
+		Histograms:  make(map[string]HistogramSeries),
 	}
 	for _, w := range rec.windows {
 		out.Windows = append(out.Windows, fmtWindow(w))
@@ -225,40 +229,46 @@ func (rec *Recorder) Series() SeriesSnapshot {
 	for name, v := range cur.snap.Gauges {
 		out.Gauges[name] = v
 	}
+	// The baseline depends only on the window: pick each once, then apply
+	// it to every metric.
+	type span struct {
+		name    string
+		then    Snapshot
+		elapsed float64
+	}
+	var spans []span
+	for _, w := range rec.windows {
+		then, ok := baseline(ticks, cur.at, w)
+		if !ok {
+			continue
+		}
+		elapsed := cur.at.Sub(then.at).Seconds()
+		if elapsed <= 0 {
+			continue
+		}
+		name := fmtWindow(w)
+		spans = append(spans, span{name, then.snap, elapsed})
+		out.WindowSpanS[name] = elapsed
+	}
 	for name, v := range cur.snap.Counters {
-		cs := CounterSeries{Value: v, Rates: make(map[string]float64)}
-		for _, w := range rec.windows {
-			then, ok := baseline(ticks, cur.at, w)
-			if !ok {
-				continue
-			}
-			elapsed := cur.at.Sub(then.at).Seconds()
-			if elapsed <= 0 {
-				continue
-			}
-			cs.Rates[fmtWindow(w)] = float64(v-then.snap.Counters[name]) / elapsed
+		cs := CounterSeries{Value: v, Rates: make(map[string]float64, len(spans))}
+		for _, sp := range spans {
+			cs.Rates[sp.name] = float64(v-sp.then.Counters[name]) / sp.elapsed
 		}
 		out.Counters[name] = cs
 	}
 	for name, h := range cur.snap.Histograms {
 		hs := HistogramSeries{
 			HistogramSnapshot: h,
-			Rates:             make(map[string]float64),
-			Mean:              make(map[string]float64),
+			Rates:             make(map[string]float64, len(spans)),
+			Mean:              make(map[string]float64, len(spans)),
 		}
-		for _, w := range rec.windows {
-			then, ok := baseline(ticks, cur.at, w)
-			if !ok {
-				continue
-			}
-			elapsed := cur.at.Sub(then.at).Seconds()
-			if elapsed <= 0 {
-				continue
-			}
-			dc := h.Count - then.snap.Histograms[name].Count
-			hs.Rates[fmtWindow(w)] = float64(dc) / elapsed
+		for _, sp := range spans {
+			prev := sp.then.Histograms[name]
+			dc := h.Count - prev.Count
+			hs.Rates[sp.name] = float64(dc) / sp.elapsed
 			if dc > 0 {
-				hs.Mean[fmtWindow(w)] = float64(h.Sum-then.snap.Histograms[name].Sum) / float64(dc)
+				hs.Mean[sp.name] = float64(h.Sum-prev.Sum) / float64(dc)
 			}
 		}
 		out.Histograms[name] = hs

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http/httptest"
 	"strings"
@@ -212,6 +213,85 @@ func TestFmtWindow(t *testing.T) {
 	for d, want := range cases {
 		if got := fmtWindow(d); got != want {
 			t.Errorf("fmtWindow(%v) = %q, want %q", d, got, want)
+		}
+	}
+}
+
+// fillRing writes n ticks one second apart into rec's ring, calling
+// before(i) ahead of each snapshot, so tests and benchmarks get a ring of
+// known age without sleeping.
+func fillRing(rec *Recorder, n int, before func(i int)) {
+	base := time.Unix(1000, 0)
+	for i := 0; i < n; i++ {
+		before(i)
+		rec.ring[rec.next] = tickSample{at: base.Add(time.Duration(i) * time.Second), snap: rec.reg.Snapshot()}
+		rec.next = (rec.next + 1) % len(rec.ring)
+		rec.count = min(rec.count+1, len(rec.ring))
+	}
+}
+
+// TestRecorderSeriesWindowSpan: while the ring is younger than a window,
+// the window's rates cover only the ring's age, and window_span_s says so;
+// once the ring is old enough each window spans its full length.
+func TestRecorderSeriesWindowSpan(t *testing.T) {
+	r := New()
+	c := r.Counter("work.items_total")
+	rec := NewRecorder(r, RecorderOptions{})
+	fillRing(rec, 2, func(int) { c.Add(10) })
+
+	s := rec.Series()
+	for _, w := range s.Windows {
+		if got := s.WindowSpanS[w]; got != 1 {
+			t.Errorf("2-tick ring: window %s spans %vs, want 1s", w, got)
+		}
+		if got := s.Counters["work.items_total"].Rates[w]; got != 10 {
+			t.Errorf("2-tick ring: window %s rate = %v, want 10/s", w, got)
+		}
+	}
+
+	fillRing(rec, len(rec.ring), func(int) { c.Add(10) })
+	s = rec.Series()
+	want := map[string]float64{"10s": 10, "1m": 60, "5m": 300}
+	for w, span := range want {
+		if got := s.WindowSpanS[w]; got != span {
+			t.Errorf("full ring: window %s spans %vs, want %vs", w, got, span)
+		}
+	}
+
+	one := New()
+	rec = NewRecorder(one, RecorderOptions{})
+	rec.Tick()
+	if s := rec.Series(); len(s.WindowSpanS) != 0 {
+		t.Errorf("1-tick ring: window_span_s = %v, want empty", s.WindowSpanS)
+	}
+}
+
+// BenchmarkRecorderSeries measures one /debug/metrics/series answer over a
+// full default ring (301 ticks) of 150 counters and 20 histograms.
+func BenchmarkRecorderSeries(b *testing.B) {
+	r := New()
+	var counters []*Counter
+	for i := 0; i < 150; i++ {
+		counters = append(counters, r.Counter(fmt.Sprintf("bench.c%d_total", i)))
+	}
+	var hists []*Histogram
+	for i := 0; i < 20; i++ {
+		hists = append(hists, r.Histogram(fmt.Sprintf("bench.h%d_ns", i), "ns"))
+	}
+	rec := NewRecorder(r, RecorderOptions{})
+	fillRing(rec, len(rec.ring), func(i int) {
+		for _, c := range counters {
+			c.Add(int64(i))
+		}
+		for _, h := range hists {
+			h.Observe(int64(1000 + i))
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s := rec.Series(); len(s.Counters) < len(counters) {
+			b.Fatalf("series holds %d counters, want >= %d", len(s.Counters), len(counters))
 		}
 	}
 }

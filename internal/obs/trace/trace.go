@@ -62,8 +62,9 @@ const (
 	EvInlineVerdict = "proxy.inline_verdict"
 
 	// EvArtifactCompute records one artifact cache miss in the analysis
-	// engine: attrs carry the artifact ID, view fingerprint prefix, and
-	// output size; DurNS the compute cost. Cache hits emit nothing.
+	// engine: attrs carry the artifact ID, the dataset fingerprint prefix
+	// (attribute "view"), and output size; DurNS the compute cost. Cache
+	// hits emit nothing.
 	EvArtifactCompute = "artifact.compute"
 
 	// Sharded-campaign coordinator events (docs/distributed.md): a worker

@@ -218,7 +218,7 @@ func (s *server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	// The ETag is a strong validator derived from the dataset-view
+	// The ETag is a strong validator derived from the dataset
 	// fingerprint: it survives server restarts, so a client cache stays
 	// valid for as long as the content itself does. Live datasets must
 	// revalidate every time (the next fold may change them); static ones
