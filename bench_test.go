@@ -421,11 +421,12 @@ func BenchmarkAblationTLSResume(b *testing.B) {
 				trust := ca.Pool()
 				trust.AppendCertsFromPEM(eco.Internet.CA.CertPEM())
 				var sink capture.CountingSink
+				reg := obs.New()
 				start := func() *proxy.Proxy {
 					px, err := proxy.New(proxy.Config{
 						CA: ca, Sessions: sessions, Resolver: eco.Internet.Resolver,
 						OriginPool: eco.Internet.CA.Pool(), Sink: &sink,
-						DisableTLSResume: disable,
+						DisableTLSResume: disable, Metrics: reg,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -450,13 +451,6 @@ func BenchmarkAblationTLSResume(b *testing.B) {
 					}
 					drain(resp)
 				}
-				var tunnels, resumed int64
-				count := func(px *proxy.Proxy) {
-					px.Drain(time.Second)
-					st := px.Stats()
-					tunnels += st.Tunnels
-					resumed += st.TunnelsResumed
-				}
 				if mode == "tunnel" {
 					px := start()
 					defer px.Close()
@@ -466,19 +460,21 @@ func BenchmarkAblationTLSResume(b *testing.B) {
 						get(client)
 					}
 					b.StopTimer()
-					count(px)
+					px.Drain(time.Second)
 				} else {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						px := start()
 						get(device(px))
 						b.StopTimer()
-						count(px)
+						px.Drain(time.Second)
 						b.StartTimer()
 						px.Close()
 					}
 				}
+				tunnels := reg.Counter("proxy.tunnels_total").Value()
 				if tunnels > 0 {
+					resumed := reg.Counter("proxy.tunnels_resumed_total").Value()
 					b.ReportMetric(float64(resumed)/float64(tunnels), "resumed/op")
 				}
 			})

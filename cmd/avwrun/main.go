@@ -64,7 +64,7 @@ func main() {
 		duration    = flag.Duration("duration", 4*time.Minute, "virtual session length")
 		recon       = flag.Bool("recon", false, "train the ReCon classifier and annotate leak provenance")
 		parallelism = flag.Int("parallelism", 0, "concurrent experiments (0 = auto)")
-		subset      = flag.String("services", "", "comma-separated service keys (default: all 50)")
+		subset      = flag.String("services", "", "comma-separated service keys (default: all 50; the protocol demos pulsechat and beaconify only when named)")
 		report      = flag.Bool("report", true, "print the evaluation report after the run")
 		protect     = flag.Bool("protect", false, "enable the ReCon-style PII-redacting protection mode")
 		inline      = flag.String("inline", "", "inline streaming PII gateway action: log, redact, or block")
@@ -138,23 +138,9 @@ func main() {
 		return
 	}
 
-	catalog := services.Catalog()
-	if *subset != "" {
-		want := make(map[string]bool)
-		for _, k := range strings.Split(*subset, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
-		var filtered []*services.Spec
-		for _, s := range catalog {
-			if want[s.Key] {
-				filtered = append(filtered, s)
-				delete(want, s.Key)
-			}
-		}
-		for k := range want {
-			fatalf("unknown service %q", k)
-		}
-		catalog = filtered
+	catalog, err := selectServices(*subset)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	fmt.Fprintf(os.Stderr, "starting ecosystem: %d services, %d A&A orgs...\n",
@@ -294,6 +280,36 @@ func main() {
 	if *report {
 		fmt.Println(analysis.Report(ds))
 	}
+}
+
+// selectServices resolves the -services keys against the calibrated
+// catalog followed by the protocol demo services (services.ProtocolSpecs),
+// in that order. An empty list selects the calibrated catalog alone, so a
+// default campaign never includes the demos.
+func selectServices(keys string) ([]*services.Spec, error) {
+	if keys == "" {
+		return services.Catalog(), nil
+	}
+	want := make(map[string]bool)
+	for _, k := range strings.Split(keys, ",") {
+		want[strings.TrimSpace(k)] = true
+	}
+	var selected []*services.Spec
+	for _, s := range append(services.Catalog(), services.ProtocolSpecs()...) {
+		if want[s.Key] {
+			selected = append(selected, s)
+			delete(want, s.Key)
+		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for k := range want {
+			unknown = append(unknown, fmt.Sprintf("%q", k))
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown service %s", strings.Join(unknown, ", "))
+	}
+	return selected, nil
 }
 
 // runFlags are the flag values whose combinations avwrun checks before

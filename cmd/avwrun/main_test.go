@@ -46,3 +46,49 @@ func TestRunFlagsValidate(t *testing.T) {
 		})
 	}
 }
+
+func TestSelectServices(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		keys string
+		want []string // selected keys in order; nil with err set
+		err  string
+	}{
+		{name: "known key", keys: "weathernow", want: []string{"weathernow"}},
+		{name: "demo keys", keys: "pulsechat, beaconify", want: []string{"pulsechat", "beaconify"}},
+		{name: "catalog before demos", keys: "beaconify,weathernow", want: []string{"weathernow", "beaconify"}},
+		{name: "unknown key", keys: "weathernow,nosuchapp", err: `unknown service "nosuchapp"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			specs, err := selectServices(tc.keys)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, s := range specs {
+				got = append(got, s.Key)
+			}
+			if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+				t.Errorf("selected %v, want %v", got, tc.want)
+			}
+		})
+	}
+	all, err := selectServices("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 50 {
+		t.Errorf("default selection = %d services, want the 50-service catalog", len(all))
+	}
+	for _, s := range all {
+		if s.Key == "pulsechat" || s.Key == "beaconify" {
+			t.Errorf("default selection includes protocol demo %q", s.Key)
+		}
+	}
+}

@@ -4,7 +4,8 @@
 //
 //   - echo: serve a TLS WebSocket echo origin on loopback, minting its
 //     certificate from a fresh origin CA written out as PEM so the proxy
-//     (-origin-ca) can trust it.
+//     (-origin-ca) can trust it. A plain HTTP request gets its body
+//     echoed, so curl can probe the proxy's h1 and h2 paths too.
 //   - probe: dial a wss:// URL through a forward proxy, send one message,
 //     and print the echo; -expect/-reject assert on the round-tripped
 //     text, so a redacting proxy is verified by expecting the redaction
@@ -30,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -76,8 +78,9 @@ func main() {
 }
 
 // runEcho serves a TLS WebSocket echo origin until killed. Every upgraded
-// socket echoes messages verbatim, so whatever the proxy delivers upstream
-// comes straight back — the probe reads the proxy's rewrite off the echo.
+// socket echoes messages verbatim, and every other request its body, so
+// whatever the proxy delivers upstream comes straight back — the probe
+// reads the proxy's rewrite off the echo.
 func runEcho(addr, host, caOut string) error {
 	ca, err := proxy.NewCA("avwws origin CA")
 	if err != nil {
@@ -94,6 +97,10 @@ func runEcho(addr, host, caOut string) error {
 		TLSConfig:         &tls.Config{GetCertificate: ca.GetCertificate(host)},
 		ReadHeaderTimeout: 10 * time.Second,
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !ws.IsUpgrade(r) {
+				io.Copy(w, r.Body) //nolint:errcheck // client teardown is not an error
+				return
+			}
 			c, err := ws.Upgrade(w, r)
 			if err != nil {
 				return

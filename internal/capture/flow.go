@@ -23,7 +23,7 @@ const (
 	HTTP  Protocol = "http"
 	HTTPS Protocol = "https"
 	// H2 marks intercepted HTTPS exchanges carried as HTTP/2 streams; one
-	// flow per stream, with StreamID and Trailers populated.
+	// flow per stream.
 	H2 Protocol = "h2"
 	// WS marks intercepted WebSocket (wss) sessions; one flow per socket,
 	// with frame-level detail in the WS field. RequestBody holds the
@@ -65,12 +65,8 @@ type Flow struct {
 	// off or the flow carried no ground-truth PII.
 	Inline *InlineVerdict `json:"inline,omitempty"`
 
-	// StreamID identifies the HTTP/2 stream that carried an h2 flow
-	// (client-initiated, so odd: 1, 3, 5, … in arrival order). Zero for
-	// every other protocol.
-	StreamID int64 `json:"stream_id,omitempty"`
 	// Trailers records request trailer fields received after the body
-	// (HTTP/2 flows only).
+	// (h2 streams, or chunked HTTP/1.1 bodies that declare them).
 	Trailers map[string]string `json:"trailers,omitempty"`
 	// WS carries frame-level detail for WebSocket flows.
 	WS *WSInfo `json:"ws,omitempty"`

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -134,7 +135,7 @@ func TestAppSessionsIgnoreAdblock(t *testing.T) {
 }
 
 // TestTraceReplayMatchesLiveAnalysis persists traces, replays them, and
-// requires identical analysis results.
+// requires identical analysis results and campaign settings.
 func TestTraceReplayMatchesLiveAnalysis(t *testing.T) {
 	dir := t.TempDir()
 	keys := []string{"grubexpress", "chatwave"}
@@ -146,6 +147,10 @@ func TestTraceReplayMatchesLiveAnalysis(t *testing.T) {
 	replayed, err := ReplayCampaign(r.Eco.Catalog, dir, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if replayed.Meta.Scale != live.Meta.Scale || replayed.Meta.Duration != live.Meta.Duration {
+		t.Errorf("replay meta scale=%v duration=%v, live scale=%v duration=%v",
+			replayed.Meta.Scale, replayed.Meta.Duration, live.Meta.Scale, live.Meta.Duration)
 	}
 	if len(replayed.Results) != len(live.Results) {
 		t.Fatalf("replay results = %d, want %d", len(replayed.Results), len(live.Results))
@@ -194,6 +199,25 @@ func TestReplayMissingDirErrors(t *testing.T) {
 	eco := startSubset(t, "docuscan")
 	if _, err := ReplayCampaign(eco.Catalog, filepath.Join(t.TempDir(), "nope"), false); err == nil {
 		t.Fatal("missing trace dir accepted")
+	}
+}
+
+// TestReplayMissingMetaErrors: traces without the campaign settings file
+// fail replay with an error naming that file, rather than a dataset with
+// a made-up scale.
+func TestReplayMissingMetaErrors(t *testing.T) {
+	dir := t.TempDir()
+	keys := []string{"grubexpress"}
+	r := testRunner(t, Options{Scale: 0.15, TraceDir: dir}, keys...)
+	if _, err := r.RunCampaign(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, TraceMetaFile)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReplayCampaign(r.Eco.Catalog, dir, false)
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, TraceMetaFile)) {
+		t.Fatalf("err = %v, want one naming %s", err, TraceMetaFile)
 	}
 }
 

@@ -78,8 +78,8 @@ func TestRunExperimentChatSocket(t *testing.T) {
 }
 
 // TestRunExperimentH2Analytics: the h2-analytics service's SDK beacons
-// arrive multiplexed — the capture shows h2 flows with odd stream IDs, and
-// the UID leak is detected exactly as on the h1 path.
+// arrive multiplexed — the capture shows one h2 flow per beacon, and the
+// UID leak is detected exactly as on the h1 path.
 func TestRunExperimentH2Analytics(t *testing.T) {
 	dir := t.TempDir()
 	r := protocolRunner(t, dir)
@@ -100,16 +100,13 @@ func TestRunExperimentH2Analytics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var h2Flows int
-	streams := make(map[int64]bool)
+	urls := make(map[string]bool)
 	for _, f := range flows {
 		if f.Protocol != capture.H2 {
 			continue
 		}
 		h2Flows++
-		if f.StreamID%2 != 1 {
-			t.Errorf("h2 stream ID %d not odd (client-initiated)", f.StreamID)
-		}
-		streams[f.StreamID] = true
+		urls[f.URL] = true
 		if !f.Intercepted {
 			t.Error("h2 flow not marked intercepted")
 		}
@@ -117,7 +114,7 @@ func TestRunExperimentH2Analytics(t *testing.T) {
 	if h2Flows < 2 {
 		t.Fatalf("h2 flows = %d, want >= 2 (multiplexed SDK traffic)", h2Flows)
 	}
-	if len(streams) < 2 {
-		t.Errorf("distinct stream IDs = %d, want >= 2", len(streams))
+	if len(urls) < 2 {
+		t.Errorf("distinct h2 request URLs = %d, want >= 2", len(urls))
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,12 +22,17 @@ import (
 // always yields the same account, and the same OS the same handset, so
 // the detector sees exactly the values the original session carried.
 func ReplayCampaign(catalog []*services.Spec, traceDir string, disableBGFilter bool) (*Dataset, error) {
+	tm, err := readTraceMeta(traceDir)
+	if err != nil {
+		return nil, err
+	}
 	cat := services.BuildCategorizer(catalog)
 	ds := &Dataset{
 		Meta: Meta{
 			GeneratedAt: time.Now(),
 			Services:    len(catalog),
-			Scale:       0, // unknown at replay time; carried by the traces
+			Scale:       tm.Scale,
+			Duration:    tm.Duration,
 		},
 	}
 	for _, spec := range catalog {
@@ -53,4 +59,41 @@ func ReplayCampaign(catalog []*services.Spec, traceDir string, disableBGFilter b
 	}
 	ds.Sort()
 	return ds, nil
+}
+
+// TraceMetaFile names the file in a trace directory that records what the
+// flows cannot: the campaign's scale and session duration.
+const TraceMetaFile = "campaign.json"
+
+type traceMeta struct {
+	Scale    float64       `json:"scale"`
+	Duration time.Duration `json:"duration"`
+}
+
+// writeTraceMeta records a campaign's scale and duration in dir. Every
+// shard of a campaign writes the same bytes, each after its own truncate,
+// so concurrent writers still leave the whole file.
+func writeTraceMeta(dir string, scale float64, duration time.Duration) error {
+	b, err := json.Marshal(traceMeta{Scale: scale, Duration: duration})
+	if err == nil {
+		err = os.WriteFile(filepath.Join(dir, TraceMetaFile), append(b, '\n'), 0o644)
+	}
+	if err != nil {
+		return fmt.Errorf("core: trace meta: %w", err)
+	}
+	return nil
+}
+
+// readTraceMeta loads the settings writeTraceMeta recorded in dir.
+func readTraceMeta(dir string) (traceMeta, error) {
+	var tm traceMeta
+	path := filepath.Join(dir, TraceMetaFile)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return tm, fmt.Errorf("core: replay: campaign settings: %w", err)
+	}
+	if err := json.Unmarshal(b, &tm); err != nil {
+		return tm, fmt.Errorf("core: replay: campaign settings %s: %w", path, err)
+	}
+	return tm, nil
 }

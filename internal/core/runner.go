@@ -58,9 +58,11 @@ type Options struct {
 	// from the paper's conclusion). Apps are unaffected: content blockers
 	// do not reach inside native apps.
 	BrowserAdblock bool
-	// TraceDir, when set, persists each experiment's post-filter flows as
-	// JSONL under this directory ("we make our dataset and code
-	// available"); ReplayCampaign re-analyzes them without re-measuring.
+	// TraceDir, when set, persists each experiment's pre-filter capture as
+	// JSONL under this directory, beside the campaign's scale and duration
+	// (TraceMetaFile), so ReplayCampaign can redo the whole pipeline,
+	// background filtering included, without re-measuring ("we make our
+	// dataset and code available").
 	TraceDir string
 	// DenyPermissions starves the listed PII classes in app sessions
 	// (simulated permission denial) — the app-side counterpart of the
@@ -703,6 +705,11 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 		}
 	}
 	matrix := idx // full-matrix size; jobs index into [0, matrix) sparsely
+	if r.Opts.TraceDir != "" {
+		if err := writeTraceMeta(r.Opts.TraceDir, r.Opts.Scale, r.Opts.Duration); err != nil {
+			return nil, err
+		}
+	}
 
 	tr := r.Opts.Tracer
 	campaignStart := time.Now()

@@ -232,7 +232,12 @@ func TestSessionVirtualTimeSpansDuration(t *testing.T) {
 
 func TestPrivateModeFreshCookies(t *testing.T) {
 	w := newSessionWorld(t, "yelpish")
+	// A tunnel records its flow after it writes the response, so wait for
+	// the first session's tunnels before splitting the capture at it.
 	w.run(t, "yelpish", services.Android, services.Web, 0.1)
+	if !w.px.Drain(5 * time.Second) {
+		t.Fatal("proxy tunnels did not drain")
+	}
 	first := w.sink.Len()
 	w.run(t, "yelpish", services.Android, services.Web, 0.1)
 	flows := w.sink.Flows()[first:]

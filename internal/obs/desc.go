@@ -27,25 +27,24 @@ var descriptions = map[string]MetricDesc{
 	"obs.watch.trips_total":         {Type: "counter", Help: "Watch rules that transitioned into the tripped state (threshold crossed over its window)."},
 
 	// internal/proxy
-	"proxy.requests_total":             {Type: "counter", Help: "Request/response exchanges served (plaintext + tunneled), across every proxy instance in the process."},
-	"proxy.tunnels_total":              {Type: "counter", Help: "CONNECT tunnels accepted."},
-	"proxy.tunnels_resumed_total":      {Type: "counter", Help: "CONNECT tunnels whose device-side TLS handshake resumed a session (abbreviated handshake; the resumed share is this over proxy.tunnels_total)."},
-	"proxy.tunnel_failures_total":      {Type: "counter", Help: "TLS-intercept failures: handshakes that failed or timed out, or tunnels aborted before the first request."},
-	"proxy.upstream_errors_total":      {Type: "counter", Help: "502s returned because the upstream dial or round-trip failed."},
-	"proxy.bytes_up_total":             {Type: "counter", Help: "Approximate request wire bytes through all proxies."},
-	"proxy.bytes_down_total":           {Type: "counter", Help: "Approximate response wire bytes through all proxies."},
-	"proxy.flow_bytes":                 {Type: "histogram", Unit: "bytes", Help: "Wire size (up + down) of one captured exchange."},
-	"proxy.inline.flows_total":         {Type: "counter", Help: "Exchanges inspected by the inline streaming PII gateway (verdict or not)."},
-	"proxy.inline.bytes_total":         {Type: "counter", Help: "Request body bytes fed through the gateway's stream scanner as they transited."},
-	"proxy.inline.matches_total":       {Type: "counter", Help: "PII occurrences (URL + headers + body) behind inline verdicts."},
-	"proxy.inline.verdicts":            {Type: "counter", Labels: []string{"action"}, Help: "Flows that carried ground-truth PII, by the mitigation action applied (log, redact, block)."},
-	"proxy.tunnel_idle_reaps_total":    {Type: "counter", Help: "Established tunnels reaped by the idle read deadline between requests (interception worked; the client went silent). Counted apart from tunnel failures."},
-	"proxy.h2.conns_total":             {Type: "counter", Help: "CONNECT tunnels whose client negotiated HTTP/2 via ALPN and were served by the multiplexing h2 path."},
-	"proxy.h2.streams_total":           {Type: "counter", Help: "HTTP/2 streams decoded into per-stream flows across all h2 tunnels."},
-	"proxy.h2.streamid_fallback_total": {Type: "counter", Help: "Streams whose true wire ID could not be read from the h2 server internals and were stamped with an arrival-order guess instead (nonzero means a Go stdlib layout change)."},
-	"proxy.ws.conns_total":             {Type: "counter", Help: "Tunneled requests upgraded to WebSocket and relayed frame-by-frame."},
-	"proxy.ws.frames":                  {Type: "counter", Labels: []string{"dir"}, Help: "WebSocket frames relayed, by direction (up = client-to-origin and scanned inline, down = origin-to-client)."},
-	"proxy.ws.bytes_total":             {Type: "counter", Help: "WebSocket payload bytes relayed in both directions (pre-mitigation sizes)."},
+	"proxy.requests_total":          {Type: "counter", Help: "Request/response exchanges served (plaintext + tunneled), across every proxy instance in the process."},
+	"proxy.tunnels_total":           {Type: "counter", Help: "CONNECT tunnels accepted."},
+	"proxy.tunnels_resumed_total":   {Type: "counter", Help: "CONNECT tunnels whose device-side TLS handshake resumed a session (abbreviated handshake; the resumed share is this over proxy.tunnels_total)."},
+	"proxy.tunnel_failures_total":   {Type: "counter", Help: "TLS-intercept failures: handshakes that failed or timed out, or tunnels aborted before the first request."},
+	"proxy.upstream_errors_total":   {Type: "counter", Help: "502s returned because the upstream dial or round-trip failed."},
+	"proxy.bytes_up_total":          {Type: "counter", Help: "Approximate request wire bytes through all proxies."},
+	"proxy.bytes_down_total":        {Type: "counter", Help: "Approximate response wire bytes through all proxies."},
+	"proxy.flow_bytes":              {Type: "histogram", Unit: "bytes", Help: "Wire size (up + down) of one captured exchange."},
+	"proxy.inline.flows_total":      {Type: "counter", Help: "Exchanges inspected by the inline streaming PII gateway (verdict or not)."},
+	"proxy.inline.bytes_total":      {Type: "counter", Help: "Request body bytes fed through the gateway's stream scanner as they transited."},
+	"proxy.inline.matches_total":    {Type: "counter", Help: "PII occurrences (URL + headers + body) behind inline verdicts."},
+	"proxy.inline.verdicts":         {Type: "counter", Labels: []string{"action"}, Help: "Flows that carried ground-truth PII, by the mitigation action applied (log, redact, block)."},
+	"proxy.tunnel_idle_reaps_total": {Type: "counter", Help: "Established tunnels reaped by the idle read deadline between requests (interception worked; the client went silent). Counted apart from tunnel failures."},
+	"proxy.h2.conns_total":          {Type: "counter", Help: "CONNECT tunnels whose client negotiated HTTP/2 via ALPN and were served by the multiplexing h2 path."},
+	"proxy.h2.streams_total":        {Type: "counter", Help: "HTTP/2 streams decoded into per-stream flows across all h2 tunnels."},
+	"proxy.ws.conns_total":          {Type: "counter", Help: "Tunneled requests upgraded to WebSocket and relayed frame-by-frame."},
+	"proxy.ws.frames":               {Type: "counter", Labels: []string{"dir"}, Help: "WebSocket frames relayed, by direction (up = client-to-origin and scanned inline, down = origin-to-client)."},
+	"proxy.ws.bytes_total":          {Type: "counter", Help: "WebSocket payload bytes relayed in both directions (pre-mitigation sizes)."},
 
 	// internal/pii
 	"pii.scan.calls_total":   {Type: "counter", Help: "Matcher/Scanner scan invocations on non-empty content."},

@@ -4,9 +4,7 @@ import (
 	"crypto/tls"
 	"net"
 	"net/http"
-	"reflect"
 	"strings"
-	"sync/atomic"
 
 	"appvsweb/internal/capture"
 )
@@ -16,9 +14,9 @@ import (
 // auto-configures when TLSConfig is nil and dispatches for any accepted
 // *tls.Conn with NegotiatedProtocol "h2" — so a one-connection listener
 // turns the already-handshaked tunnel conn into a fully multiplexed h2
-// session without any external dependency. Each stream lands in
-// serveH2Stream as an ordinary *http.Request and is recorded as its own
-// capture.Flow with its true wire stream ID and any request trailers.
+// session without any external dependency. Each stream reaches
+// h2TunnelHandler as an ordinary *http.Request and is recorded as its own
+// capture.Flow, with any request trailers.
 //
 // Serve returns as soon as the listener is exhausted while the connection
 // is still being served in the background; raw.done (the close-notifying
@@ -36,129 +34,17 @@ func (p *Proxy) serveH2Tunnel(tlsConn *tls.Conn, raw *notifyConn, tunnelHost str
 	<-raw.done
 }
 
-// h2TunnelHandler fans the tunnel's multiplexed streams into flows.
+// h2TunnelHandler fans the tunnel's multiplexed streams into flows: the
+// h2 adapter onto Proxy.exchange.
 type h2TunnelHandler struct {
 	p          *Proxy
 	tunnelHost string
-	streams    atomic.Int64
 }
 
 func (h *h2TunnelHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	sid, ok := h2StreamID(w)
-	if !ok {
-		// Arrival-order inference: client-initiated streams are odd, and in
-		// the common sequential case the Nth request rode stream 2N-1. A
-		// client that opens streams concurrently or skips IDs (both legal)
-		// breaks this, which is why it is only the fallback.
-		sid = h.streams.Add(1)*2 - 1
-		h.p.metrics.h2StreamIDFallback.Inc()
-	}
 	h.p.metrics.h2Streams.Inc()
-	h.p.serveH2Stream(w, r, h.tunnelHost, sid)
-}
-
-// h2StreamID reads the true wire stream ID of the request the bundled h2
-// server dispatched to w. The server does not expose it through any API,
-// but its ResponseWriter is `http2responseWriter{rws: &...{stream:
-// &...{id: uint32}}}`; reflection can read that unexported primitive
-// chain without copying it out. Every step is kind-checked so a stdlib
-// layout change degrades to (0, false) — the arrival-order fallback —
-// instead of panicking on a hot path.
-func h2StreamID(w http.ResponseWriter) (int64, bool) {
-	v := reflect.ValueOf(w)
-	for _, field := range []string{"rws", "stream"} {
-		if v.Kind() != reflect.Pointer || v.IsNil() {
-			return 0, false
-		}
-		v = v.Elem()
-		if v.Kind() != reflect.Struct {
-			return 0, false
-		}
-		v = v.FieldByName(field)
-		if !v.IsValid() {
-			return 0, false
-		}
-	}
-	if v.Kind() != reflect.Pointer || v.IsNil() || v.Elem().Kind() != reflect.Struct {
-		return 0, false
-	}
-	id := v.Elem().FieldByName("id")
-	if !id.IsValid() || id.Kind() != reflect.Uint32 {
-		return 0, false
-	}
-	return int64(id.Uint()), true
-}
-
-// serveH2Stream is serveTunneledRequest's HTTP/2 twin: one multiplexed
-// stream in, one capture.Flow out, with the same inline-gateway lifecycle
-// (begin → tee → finish → release) wrapped around the upstream exchange.
-func (p *Proxy) serveH2Stream(w http.ResponseWriter, r *http.Request, tunnelHost string, streamID int64) {
-	start := p.cfg.Now()
-	reqHost := r.Host
-	if reqHost == "" {
-		reqHost = tunnelHost
-	}
-	if h, _, err := net.SplitHostPort(reqHost); err == nil {
-		reqHost = h
-	}
-	reqHost = strings.ToLower(reqHost)
-	absURL := "https://" + reqHost + r.RequestURI
-
-	insp := p.cfg.Inline.begin()
-	defer insp.release()
-	r.Body = insp.tee(r.Body)
-	body, err := p.readBody(r)
-	if err != nil {
-		http.Error(w, "proxy: read body: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	iv, absURL, body := insp.finish(absURL, r.Header, body)
-	if iv != nil {
-		p.traceInlineVerdict(reqHost, iv)
-	}
-	if iv != nil && iv.Action == string(InlineBlock) {
-		f := p.newFlow(start, capture.H2, r, reqHost, absURL, body, true)
-		f.StreamID = streamID
-		f.Trailers = trailerMap(r.Trailer)
-		f.Inline = iv
-		page := blockPage(iv)
-		f.Status = http.StatusForbidden
-		f.ResponseHeaders = map[string]string{"Content-Type": "text/plain; charset=utf-8"}
-		f.ResponseSize = int64(len(page))
-		f.BytesUp = requestWireSize(r, body)
-		f.BytesDown = int64(len(page))
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusForbidden)
-		w.Write(page) //nolint:errcheck // client teardown is not an error
-		p.recordStats(f)
-		p.cfg.Sink.Record(f)
-		return
-	}
-	absURL, body, rewritten := p.rewrite(reqHost, false, absURL, body)
-	out := p.outboundRequest(r, absURL, body)
-	resp, respBody, upErr := p.roundTrip(out)
-
-	f := p.newFlow(start, capture.H2, r, reqHost, absURL, body, true)
-	f.StreamID = streamID
-	// Trailers arrive after the body; readBody above consumed it, so the
-	// bundle has merged any trailer fields by now.
-	f.Trailers = trailerMap(r.Trailer)
-	f.Rewritten = rewritten || (iv != nil && iv.Mitigated)
-	f.Inline = iv
-	if upErr != nil {
-		p.writeError(w, f, upErr)
-		return
-	}
-	p.finishFlow(f, resp, respBody)
-	for k, vv := range resp.Header {
-		for _, v := range vv {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(respBody) //nolint:errcheck // client teardown is not an error
-	p.recordStats(f)
-	p.cfg.Sink.Record(f)
+	host, absURL := tunnelTarget(r, h.tunnelHost, "https://")
+	h.p.exchange(r, capture.H2, host, absURL, responder{w: w})
 }
 
 // trailerMap flattens received request trailers, dropping declared-but-

@@ -58,8 +58,8 @@ func benchInlineBody(rec *pii.Record, bodySize int, hit bool) []byte {
 
 // BenchmarkInlineThroughput is the bench-gated cost model for the inline
 // gateway (docs/inline.md): one in-memory relay pass over a 64 KiB body —
-// the exact begin/tee/finish/release sequence handleHTTP and
-// serveTunneledRequest run — with detection off (nil gateway, the
+// the exact begin/tee/finish/release sequence Proxy.exchange runs for
+// every transport — with detection off (nil gateway, the
 // pass-through baseline every flow pays today) versus on. In-memory by
 // design: the loopback-TLS proxy benchmarks are too noisy to gate
 // (docs/performance.md), while this isolates exactly the added scan work.

@@ -55,8 +55,9 @@ func newInlineWorld(t testing.TB, action InlineAction) (*testWorld, *Inline, *tr
 		proxyCA:  proxyCA,
 		resolver: NewMapResolver(),
 		sink:     capture.NewMemSink(),
+		reg:      obs.New(),
 	}
-	reg := obs.New()
+	reg := w.reg
 	tracer := trace.New(trace.Options{})
 	gw := NewInline(inlineRecord(), action, reg)
 	if gw == nil {

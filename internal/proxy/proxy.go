@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"appvsweb/internal/capture"
@@ -83,9 +82,8 @@ type Config struct {
 	Tracer *trace.Tracer
 	// SpanID scopes this proxy's trace events to its experiment.
 	SpanID string
-	// Metrics receives process-wide proxy instrumentation (see
-	// docs/metrics.md). Nil uses obs.Default. Per-proxy counts remain
-	// available from Stats regardless.
+	// Metrics receives the proxy's instrumentation (see docs/metrics.md).
+	// Nil uses obs.Default; a proxy of its own registry counts alone.
 	Metrics *obs.Registry
 }
 
@@ -115,16 +113,6 @@ type Proxy struct {
 	// a flow still being written. Drain closes that window.
 	tunnelWG sync.WaitGroup
 
-	stats struct {
-		tunnels        atomic.Int64 // CONNECT tunnels accepted
-		tunnelsResumed atomic.Int64 // tunnels whose device handshake resumed
-		tunnelFailures atomic.Int64 // tunnels that died before a request
-		tunnelIdle     atomic.Int64 // established tunnels reaped for idleness
-		requests       atomic.Int64 // exchanges served (plain + tunneled)
-		upstreamErrors atomic.Int64 // 502s returned
-		bytesUp        atomic.Int64
-		bytesDown      atomic.Int64
-	}
 	metrics proxyMetrics
 }
 
@@ -144,13 +132,10 @@ type proxyMetrics struct {
 	flowBytes      *obs.Histogram
 	h2Conns        *obs.Counter
 	h2Streams      *obs.Counter
-	// h2StreamIDFallback counts streams whose wire ID could not be read
-	// from the h2 server internals and got an arrival-order guess instead.
-	h2StreamIDFallback *obs.Counter
-	wsConns            *obs.Counter
-	wsFramesUp         *obs.Counter
-	wsFramesDown       *obs.Counter
-	wsBytes            *obs.Counter
+	wsConns        *obs.Counter
+	wsFramesUp     *obs.Counter
+	wsFramesDown   *obs.Counter
+	wsBytes        *obs.Counter
 }
 
 func newProxyMetrics(reg *obs.Registry) proxyMetrics {
@@ -159,48 +144,21 @@ func newProxyMetrics(reg *obs.Registry) proxyMetrics {
 	}
 	wsFrames := reg.CounterVec("proxy.ws.frames", "dir")
 	return proxyMetrics{
-		requests:           reg.Counter("proxy.requests_total"),
-		tunnels:            reg.Counter("proxy.tunnels_total"),
-		tunnelsResumed:     reg.Counter("proxy.tunnels_resumed_total"),
-		tunnelFailures:     reg.Counter("proxy.tunnel_failures_total"),
-		tunnelIdle:         reg.Counter("proxy.tunnel_idle_reaps_total"),
-		upstreamErrors:     reg.Counter("proxy.upstream_errors_total"),
-		bytesUp:            reg.Counter("proxy.bytes_up_total"),
-		bytesDown:          reg.Counter("proxy.bytes_down_total"),
-		flowBytes:          reg.Histogram("proxy.flow_bytes", "bytes"),
-		h2Conns:            reg.Counter("proxy.h2.conns_total"),
-		h2Streams:          reg.Counter("proxy.h2.streams_total"),
-		h2StreamIDFallback: reg.Counter("proxy.h2.streamid_fallback_total"),
-		wsConns:            reg.Counter("proxy.ws.conns_total"),
-		wsFramesUp:         wsFrames.WithLabelValues("up"),
-		wsFramesDown:       wsFrames.WithLabelValues("down"),
-		wsBytes:            reg.Counter("proxy.ws.bytes_total"),
-	}
-}
-
-// Stats is a snapshot of the proxy's operational counters.
-type Stats struct {
-	Tunnels        int64
-	TunnelsResumed int64 // tunnels whose device handshake resumed a session
-	TunnelFailures int64
-	TunnelIdle     int64 // established tunnels reaped by IdleTimeout
-	Requests       int64
-	UpstreamErrors int64
-	BytesUp        int64
-	BytesDown      int64
-}
-
-// Stats returns the current counters.
-func (p *Proxy) Stats() Stats {
-	return Stats{
-		Tunnels:        p.stats.tunnels.Load(),
-		TunnelsResumed: p.stats.tunnelsResumed.Load(),
-		TunnelFailures: p.stats.tunnelFailures.Load(),
-		TunnelIdle:     p.stats.tunnelIdle.Load(),
-		Requests:       p.stats.requests.Load(),
-		UpstreamErrors: p.stats.upstreamErrors.Load(),
-		BytesUp:        p.stats.bytesUp.Load(),
-		BytesDown:      p.stats.bytesDown.Load(),
+		requests:       reg.Counter("proxy.requests_total"),
+		tunnels:        reg.Counter("proxy.tunnels_total"),
+		tunnelsResumed: reg.Counter("proxy.tunnels_resumed_total"),
+		tunnelFailures: reg.Counter("proxy.tunnel_failures_total"),
+		tunnelIdle:     reg.Counter("proxy.tunnel_idle_reaps_total"),
+		upstreamErrors: reg.Counter("proxy.upstream_errors_total"),
+		bytesUp:        reg.Counter("proxy.bytes_up_total"),
+		bytesDown:      reg.Counter("proxy.bytes_down_total"),
+		flowBytes:      reg.Histogram("proxy.flow_bytes", "bytes"),
+		h2Conns:        reg.Counter("proxy.h2.conns_total"),
+		h2Streams:      reg.Counter("proxy.h2.streams_total"),
+		wsConns:        reg.Counter("proxy.ws.conns_total"),
+		wsFramesUp:     wsFrames.WithLabelValues("up"),
+		wsFramesDown:   wsFrames.WithLabelValues("down"),
+		wsBytes:        reg.Counter("proxy.ws.bytes_total"),
 	}
 }
 
@@ -337,57 +295,7 @@ func (p *Proxy) handleHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "proxy: absolute URI required", http.StatusBadRequest)
 		return
 	}
-	start := p.cfg.Now()
-	insp := p.cfg.Inline.begin()
-	defer insp.release()
-	r.Body = insp.tee(r.Body)
-	body, err := p.readBody(r)
-	if err != nil {
-		http.Error(w, "proxy: read body: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	host := strings.ToLower(r.URL.Hostname())
-	absURL := r.URL.String()
-	iv, absURL, body := insp.finish(absURL, r.Header, body)
-	if iv != nil {
-		p.traceInlineVerdict(host, iv)
-	}
-	if iv != nil && iv.Action == string(InlineBlock) {
-		f := p.newFlow(start, capture.HTTP, r, host, absURL, body, false)
-		f.Inline = iv
-		page := blockPage(iv)
-		f.Status = http.StatusForbidden
-		f.ResponseHeaders = map[string]string{"Content-Type": "text/plain; charset=utf-8"}
-		f.ResponseSize = int64(len(page))
-		f.BytesDown = int64(len(page))
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusForbidden)
-		w.Write(page) //nolint:errcheck // client teardown is not an error
-		p.recordStats(f)
-		p.cfg.Sink.Record(f)
-		return
-	}
-	absURL, body, rewritten := p.rewrite(host, true, absURL, body)
-	out := p.outboundRequest(r, absURL, body)
-	resp, respBody, upErr := p.roundTrip(out)
-
-	f := p.newFlow(start, capture.HTTP, r, host, absURL, body, false)
-	f.Rewritten = rewritten || (iv != nil && iv.Mitigated)
-	f.Inline = iv
-	if upErr != nil {
-		p.writeError(w, f, upErr)
-		return
-	}
-	p.finishFlow(f, resp, respBody)
-	for k, vv := range resp.Header {
-		for _, v := range vv {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(respBody) //nolint:errcheck // client teardown is not an error
-	p.recordStats(f)
-	p.cfg.Sink.Record(f)
+	p.exchange(r, capture.HTTP, strings.ToLower(r.URL.Hostname()), r.URL.String(), responder{w: w})
 }
 
 // handleConnect hijacks the connection, terminates TLS with a minted
@@ -414,7 +322,6 @@ func (p *Proxy) handleConnect(w http.ResponseWriter, r *http.Request) {
 	}
 	p.tunnelWG.Add(1)
 	defer p.tunnelWG.Done()
-	p.stats.tunnels.Add(1)
 	p.metrics.tunnels.Inc()
 	// The close-notifying wrapper lets the h2 serving path learn when the
 	// bundled HTTP/2 server (which owns the conn after handoff) is done
@@ -456,7 +363,6 @@ func (p *Proxy) handleConnect(w http.ResponseWriter, r *http.Request) {
 
 	cs := tlsConn.ConnectionState()
 	if cs.DidResume {
-		p.stats.tunnelsResumed.Add(1)
 		p.metrics.tunnelsResumed.Inc()
 	}
 	if cs.NegotiatedProtocol == "h2" {
@@ -508,7 +414,6 @@ func (p *Proxy) handleConnect(w http.ResponseWriter, r *http.Request) {
 // deliberately not a tunnel failure: interception succeeded, the client
 // just stopped talking.
 func (p *Proxy) recordTunnelIdle(host string, served int) {
-	p.stats.tunnelIdle.Add(1)
 	p.metrics.tunnelIdle.Inc()
 	p.cfg.Tracer.Emit(trace.Event{Type: trace.EvTunnelIdle, Span: p.cfg.SpanID, Attrs: map[string]string{
 		"host":   host,
@@ -518,76 +423,124 @@ func (p *Proxy) recordTunnelIdle(host string, served int) {
 	}})
 }
 
-// serveTunneledRequest forwards one decrypted request; reports whether the
-// tunnel should continue.
+// serveTunneledRequest forwards one decrypted request of an h1 tunnel;
+// reports whether the tunnel should continue.
 func (p *Proxy) serveTunneledRequest(conn net.Conn, r *http.Request, tunnelHost string) bool {
-	start := p.cfg.Now()
-	reqHost := r.Host
-	if reqHost == "" {
-		reqHost = tunnelHost
-	}
-	if h, _, err := net.SplitHostPort(reqHost); err == nil {
-		reqHost = h
-	}
-	reqHost = strings.ToLower(reqHost)
-	absURL := "https://" + reqHost + r.RequestURI
+	host, absURL := tunnelTarget(r, tunnelHost, "https://")
+	return p.exchange(r, capture.HTTPS, host, absURL, responder{conn: conn})
+}
 
+// tunnelTarget names the origin of a request decrypted inside a CONNECT
+// tunnel: its Host header (or the CONNECT target when absent), lower-cased
+// and without a port, and the absolute URL under scheme.
+func tunnelTarget(r *http.Request, tunnelHost, scheme string) (host, absURL string) {
+	host = r.Host
+	if host == "" {
+		host = tunnelHost
+	}
+	if h, _, err := net.SplitHostPort(host); err == nil {
+		host = h
+	}
+	host = strings.ToLower(host)
+	return host, scheme + host + r.RequestURI
+}
+
+// textPlain is the header of the responses the proxy writes itself.
+var textPlain = http.Header{"Content-Type": {textPlainType}}
+
+const textPlainType = "text/plain; charset=utf-8"
+
+// exchange serves one intercepted request and records its flow, whatever
+// the transport: the inline gateway's verdict, the block page, the
+// protection rewrite, the upstream round trip and the 502 all happen here,
+// once. The transport adapters only name the host and URL and say, through
+// rs, how to answer. It reports whether the client connection may carry
+// another request.
+func (p *Proxy) exchange(r *http.Request, proto capture.Protocol, host, absURL string, rs responder) bool {
+	start := p.cfg.Now()
 	insp := p.cfg.Inline.begin()
 	defer insp.release()
 	r.Body = insp.tee(r.Body)
 	body, err := p.readBody(r)
 	if err != nil {
+		rs.respond(http.StatusBadGateway, textPlain, []byte("proxy: read body: "+err.Error()+"\n"))
 		return false
 	}
 	iv, absURL, body := insp.finish(absURL, r.Header, body)
 	if iv != nil {
-		p.traceInlineVerdict(reqHost, iv)
+		p.traceInlineVerdict(host, iv)
 	}
-	if iv != nil && iv.Action == string(InlineBlock) {
-		f := p.newFlow(start, capture.HTTPS, r, reqHost, absURL, body, true)
-		f.Inline = iv
+	blocked := iv != nil && iv.Action == string(InlineBlock)
+	var (
+		resp      *http.Response
+		respBody  []byte
+		upErr     error
+		rewritten bool
+	)
+	if !blocked {
+		absURL, body, rewritten = p.rewrite(host, proto == capture.HTTP, absURL, body)
+		resp, respBody, upErr = p.roundTrip(p.outboundRequest(r, absURL, body))
+	}
+
+	f := p.newFlow(start, proto, r, host, absURL, body)
+	f.Inline = iv
+	// Trailers arrive after the body; readBody above consumed it, so any
+	// trailer fields have been merged by now.
+	f.Trailers = trailerMap(r.Trailer)
+	// A refusal is not a rewrite: nothing of a blocked request was sent.
+	f.Rewritten = !blocked && (rewritten || (iv != nil && iv.Mitigated))
+	keep := false
+	switch {
+	case blocked:
+		// The request was refused, not the connection: later requests on
+		// the same tunnel get their own verdicts.
 		page := blockPage(iv)
 		f.Status = http.StatusForbidden
-		f.ResponseHeaders = map[string]string{"Content-Type": "text/plain; charset=utf-8"}
+		f.ResponseHeaders = map[string]string{"Content-Type": textPlainType}
 		f.ResponseSize = int64(len(page))
-		hdr := http.Header{"Content-Type": []string{"text/plain; charset=utf-8"}}
-		n, werr := writeSimpleResponse(conn, http.StatusForbidden, hdr, page)
-		// Leak-table byte totals must count the upstream cost of blocked
-		// requests too (the client paid it even though nothing was
-		// forwarded); mirror the upstream-error path's accounting.
-		f.BytesUp = requestWireSize(r, body)
-		f.BytesDown = n
-		p.recordStats(f)
-		p.cfg.Sink.Record(f)
-		// The request was refused, not the tunnel: later requests on the
-		// same connection get their own verdicts.
-		return werr == nil
-	}
-	absURL, body, rewritten := p.rewrite(reqHost, false, absURL, body)
-	out := p.outboundRequest(r, absURL, body)
-	resp, respBody, upErr := p.roundTrip(out)
-
-	f := p.newFlow(start, capture.HTTPS, r, reqHost, absURL, body, true)
-	f.Rewritten = rewritten || (iv != nil && iv.Mitigated)
-	f.Inline = iv
-	if upErr != nil {
+		f.BytesDown, keep = rs.respond(http.StatusForbidden, textPlain, page)
+	case upErr != nil:
 		f.Status = http.StatusBadGateway
 		f.ResponseHeaders = map[string]string{"X-Proxy-Error": upErr.Error()}
-		n, _ := writeSimpleResponse(conn, http.StatusBadGateway, nil, nil)
-		f.BytesUp = requestWireSize(r, body)
-		f.BytesDown = n
-		p.stats.upstreamErrors.Add(1)
+		f.BytesDown, _ = rs.respond(http.StatusBadGateway, nil, nil)
 		p.metrics.upstreamErrors.Inc()
-		p.recordStats(f)
-		p.cfg.Sink.Record(f)
-		return false
+	default:
+		f.Status = resp.StatusCode
+		f.ResponseSize = int64(len(respBody))
+		f.ResponseHeaders = flatten(resp.Header)
+		f.BytesDown, keep = rs.respond(resp.StatusCode, resp.Header, respBody)
 	}
-	p.finishFlow(f, resp, respBody)
-	n, werr := writeSimpleResponse(conn, resp.StatusCode, resp.Header, respBody)
-	f.BytesDown = n
-	p.recordStats(f)
-	p.cfg.Sink.Record(f)
-	return werr == nil
+	p.record(f)
+	return keep
+}
+
+// responder answers an exchange on its transport: through the
+// http.ResponseWriter of a plaintext request or an h2 stream, or as raw
+// HTTP/1.1 on an h1 tunnel's conn. Exactly one field is set. A value, not
+// an interface, so the per-exchange path allocates nothing for it.
+type responder struct {
+	w    http.ResponseWriter
+	conn net.Conn
+}
+
+// respond writes one response. It returns the bytes the flow counts in
+// BytesDown — the bytes written on a tunnel conn, the wire-size estimate
+// behind a ResponseWriter (whose framing the server owns) — and whether
+// the connection may carry another request.
+func (rs responder) respond(status int, header http.Header, body []byte) (int64, bool) {
+	if rs.conn != nil {
+		n, err := writeSimpleResponse(rs.conn, status, header, body)
+		return n, err == nil
+	}
+	h := rs.w.Header()
+	for k, vv := range header {
+		for _, v := range vv {
+			h.Add(k, v)
+		}
+	}
+	rs.w.WriteHeader(status)
+	rs.w.Write(body) //nolint:errcheck // client teardown is not an error
+	return responseWireSize(header, body), true
 }
 
 // rewrite applies the configured protection rewriter, if any.
@@ -653,7 +606,7 @@ func (p *Proxy) readBody(r *http.Request) ([]byte, error) {
 }
 
 // newFlow builds the flow skeleton for one exchange.
-func (p *Proxy) newFlow(start time.Time, proto capture.Protocol, r *http.Request, host, absURL string, body []byte, intercepted bool) *capture.Flow {
+func (p *Proxy) newFlow(start time.Time, proto capture.Protocol, r *http.Request, host, absURL string, body []byte) *capture.Flow {
 	hdrs := make(map[string]string, len(r.Header))
 	for k, vv := range r.Header {
 		hdrs[k] = strings.Join(vv, ", ")
@@ -671,41 +624,26 @@ func (p *Proxy) newFlow(start time.Time, proto capture.Protocol, r *http.Request
 		RequestHeaders: hdrs,
 		RequestBody:    string(body),
 		BytesUp:        requestWireSize(r, body),
-		Intercepted:    intercepted,
+		Intercepted:    proto != capture.HTTP,
 	}
 }
 
-func (p *Proxy) finishFlow(f *capture.Flow, resp *http.Response, respBody []byte) {
-	f.Status = resp.StatusCode
-	f.ResponseSize = int64(len(respBody))
-	rh := make(map[string]string, len(resp.Header))
-	for k, vv := range resp.Header {
-		rh[k] = strings.Join(vv, ", ")
+// flatten joins each header's values into one string, as flows record them.
+func flatten(h http.Header) map[string]string {
+	out := make(map[string]string, len(h))
+	for k, vv := range h {
+		out[k] = strings.Join(vv, ", ")
 	}
-	f.ResponseHeaders = rh
-	f.BytesDown = responseWireSize(resp, respBody)
+	return out
 }
 
-func (p *Proxy) writeError(w http.ResponseWriter, f *capture.Flow, err error) {
-	f.Status = http.StatusBadGateway
-	f.ResponseHeaders = map[string]string{"X-Proxy-Error": err.Error()}
-	http.Error(w, "proxy: upstream: "+err.Error(), http.StatusBadGateway)
-	p.stats.upstreamErrors.Add(1)
-	p.metrics.upstreamErrors.Inc()
-	p.recordStats(f)
-	p.cfg.Sink.Record(f)
-}
-
-// recordStats folds one completed exchange into the per-proxy counters and
-// the process-wide registry.
-func (p *Proxy) recordStats(f *capture.Flow) {
-	p.stats.requests.Add(1)
-	p.stats.bytesUp.Add(f.BytesUp)
-	p.stats.bytesDown.Add(f.BytesDown)
+// record counts one finished exchange and hands its flow to the sink.
+func (p *Proxy) record(f *capture.Flow) {
 	p.metrics.requests.Inc()
 	p.metrics.bytesUp.Add(f.BytesUp)
 	p.metrics.bytesDown.Add(f.BytesDown)
 	p.metrics.flowBytes.Observe(f.BytesUp + f.BytesDown)
+	p.cfg.Sink.Record(f)
 }
 
 // traceInlineVerdict publishes one inline-gateway verdict as a live trace
@@ -721,7 +659,6 @@ func (p *Proxy) traceInlineVerdict(host string, iv *capture.InlineVerdict) {
 }
 
 func (p *Proxy) recordTunnelFailure(start time.Time, host, reason string) {
-	p.stats.tunnelFailures.Add(1)
 	p.metrics.tunnelFailures.Inc()
 	p.cfg.Tracer.Emit(trace.Event{Type: trace.EvTunnelFailure, Span: p.cfg.SpanID, Attrs: map[string]string{
 		"host": host, "reason": reason, "client": p.cfg.ClientID,
@@ -751,9 +688,9 @@ func requestWireSize(r *http.Request, body []byte) int64 {
 }
 
 // responseWireSize approximates the on-the-wire size of a response.
-func responseWireSize(resp *http.Response, body []byte) int64 {
+func responseWireSize(header http.Header, body []byte) int64 {
 	n := int64(len("HTTP/1.1 200 OK") + 2)
-	for k, vv := range resp.Header {
+	for k, vv := range header {
 		for _, v := range vv {
 			n += int64(len(k) + 2 + len(v) + 2)
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"appvsweb/internal/capture"
+	"appvsweb/internal/obs"
 )
 
 // testWorld wires an origin CA, a resolver, a proxy, and a client trust
@@ -25,6 +26,7 @@ type testWorld struct {
 	proxyCA  *CA
 	resolver *MapResolver
 	sink     *capture.MemSink
+	reg      *obs.Registry // the proxy's own metrics registry
 	proxy    *Proxy
 }
 
@@ -44,6 +46,7 @@ func newWorld(t testing.TB) *testWorld {
 		proxyCA:  proxyCA,
 		resolver: NewMapResolver(),
 		sink:     capture.NewMemSink(),
+		reg:      obs.New(),
 	}
 	p, err := New(Config{
 		CA:         proxyCA,
@@ -51,6 +54,7 @@ func newWorld(t testing.TB) *testWorld {
 		OriginPool: originCA.Pool(),
 		Sink:       w.sink,
 		ClientID:   "test-device",
+		Metrics:    w.reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +108,17 @@ func (w *testWorld) client() *http.Client {
 	}
 }
 
+// count reads one of the proxy's counters from its registry.
+func (w *testWorld) count(name string) int64 { return w.reg.Counter(name).Value() }
+
+// counter returns a snapshot function over one of the proxy's counters,
+// for drained.
+func (w *testWorld) counter(name string) func() int64 {
+	return func() int64 { return w.count(name) }
+}
+
 // drained waits for every tunnel of p to finish and then takes a snapshot
-// (sink.Flows, Proxy.Stats, ...). A tunnel writes its response before it
+// (sink.Flows, a counter, ...). A tunnel writes its response before it
 // records the flow and counts the exchange, so a client can hold the
 // response while that bookkeeping is still in flight; once the client has
 // closed its connection, Drain covers the gap. Callers close keep-alive
@@ -517,20 +530,19 @@ func TestProxyStats(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	s := drained(t, w.proxy, w.proxy.Stats)
-	if s.Tunnels != 4 {
-		t.Errorf("tunnels = %d, want 4", s.Tunnels)
+	if n := drained(t, w.proxy, w.counter("proxy.tunnels_total")); n != 4 {
+		t.Errorf("tunnels = %d, want 4", n)
 	}
-	if s.Requests != 4 {
-		t.Errorf("requests = %d, want 4", s.Requests)
+	if n := w.count("proxy.requests_total"); n != 4 {
+		t.Errorf("requests = %d, want 4", n)
 	}
-	if s.UpstreamErrors != 1 {
-		t.Errorf("upstream errors = %d, want 1", s.UpstreamErrors)
+	if n := w.count("proxy.upstream_errors_total"); n != 1 {
+		t.Errorf("upstream errors = %d, want 1", n)
 	}
-	if s.BytesUp <= 0 || s.BytesDown <= 0 {
-		t.Errorf("bytes = %+v", s)
+	if up, down := w.count("proxy.bytes_up_total"), w.count("proxy.bytes_down_total"); up <= 0 || down <= 0 {
+		t.Errorf("bytes up = %d, down = %d", up, down)
 	}
-	if s.TunnelFailures != 0 {
-		t.Errorf("tunnel failures = %d", s.TunnelFailures)
+	if n := w.count("proxy.tunnel_failures_total"); n != 0 {
+		t.Errorf("tunnel failures = %d", n)
 	}
 }

@@ -73,9 +73,9 @@ func TestTunnelHandshakeResumes(t *testing.T) {
 	if a, b := timeless(flows[0]), timeless(flows[1]); !reflect.DeepEqual(a, b) {
 		t.Errorf("resumed tunnel recorded a different flow:\nfull:    %+v\nresumed: %+v", a, b)
 	}
-	st := drained(t, w.proxy, w.proxy.Stats)
-	if st.Tunnels != 2 || st.TunnelsResumed != 1 {
-		t.Errorf("tunnels = %d, resumed = %d, want 2 and 1", st.Tunnels, st.TunnelsResumed)
+	tunnels := drained(t, w.proxy, w.counter("proxy.tunnels_total"))
+	if resumed := w.count("proxy.tunnels_resumed_total"); tunnels != 2 || resumed != 1 {
+		t.Errorf("tunnels = %d, resumed = %d, want 2 and 1", tunnels, resumed)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestPinnedTransportNeverResumes(t *testing.T) {
 			t.Fatalf("attempt %d: err = %v, want ErrPinMismatch", i+1, err)
 		}
 	}
-	if st := drained(t, w.proxy, w.proxy.Stats); st.TunnelsResumed != 0 {
-		t.Errorf("pinned client resumed %d tunnels", st.TunnelsResumed)
+	if n := drained(t, w.proxy, w.counter("proxy.tunnels_resumed_total")); n != 0 {
+		t.Errorf("pinned client resumed %d tunnels", n)
 	}
 }
 
@@ -180,7 +180,7 @@ func TestSharedSessionsResumeAcrossProxies(t *testing.T) {
 				tr.TLSClientConfig.ClientSessionCache = deviceCache
 				device := &http.Client{Transport: tr, Timeout: 5 * time.Second}
 				tunnelResumed = append(tunnelResumed, getResumed(t, device, "https://svc.example/x"))
-				drained(t, p, p.Stats)
+				drained(t, p, w.sink.Flows)
 				p.Close()
 			}
 			upstream := origin.handshakes()

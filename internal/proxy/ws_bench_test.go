@@ -121,9 +121,9 @@ func (noopRT) RoundTrip(r *http.Request) (*http.Response, error) {
 	}, nil
 }
 
-// BenchmarkH2Intercept measures one multiplexed h2 stream through
-// serveH2Stream — body capture, inline lifecycle, flow recording — against
-// a stubbed upstream, with the gateway off versus scanning.
+// BenchmarkH2Intercept measures one multiplexed h2 stream through the h2
+// adapter — body capture, inline lifecycle, flow recording — against a
+// stubbed upstream, with the gateway off versus scanning.
 func BenchmarkH2Intercept(b *testing.B) {
 	rec := inlineRecord()
 	const bodySize = 4 << 10
@@ -142,6 +142,7 @@ func BenchmarkH2Intercept(b *testing.B) {
 			px := benchProxy(b)
 			px.rt = noopRT{}
 			px.cfg.Inline = tc.gw
+			h2 := &h2TunnelHandler{p: px, tunnelHost: "api.bench.example"}
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
@@ -149,7 +150,7 @@ func BenchmarkH2Intercept(b *testing.B) {
 					bytes.NewReader(body))
 				r.Header.Set("Content-Type", "application/json")
 				w := httptest.NewRecorder()
-				px.serveH2Stream(w, r, "api.bench.example", int64(i)*2+1)
+				h2.ServeHTTP(w, r)
 				if w.Code != http.StatusNoContent {
 					b.Fatalf("status %d", w.Code)
 				}

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,27 +44,16 @@ var wsBufPool = sync.Pool{
 // capped at MaxBodyBytes), and frame-level counts/hits under Flow.WS.
 func (p *Proxy) serveWSTunnel(clientConn net.Conn, br *bufio.Reader, r *http.Request, tunnelHost string) {
 	start := p.cfg.Now()
-	reqHost := r.Host
-	if reqHost == "" {
-		reqHost = tunnelHost
-	}
-	if h, _, err := net.SplitHostPort(reqHost); err == nil {
-		reqHost = h
-	}
-	reqHost = strings.ToLower(reqHost)
-	absURL := "wss://" + reqHost + r.RequestURI
+	reqHost, absURL := tunnelTarget(r, tunnelHost, "wss://")
 	p.metrics.wsConns.Inc()
 
 	fail := func(err error) {
-		f := p.newFlow(start, capture.WS, r, reqHost, absURL, nil, true)
+		f := p.newFlow(start, capture.WS, r, reqHost, absURL, nil)
 		f.Status = http.StatusBadGateway
 		f.ResponseHeaders = map[string]string{"X-Proxy-Error": err.Error()}
-		n, _ := writeSimpleResponse(clientConn, http.StatusBadGateway, nil, nil)
-		f.BytesDown = n
-		p.stats.upstreamErrors.Add(1)
+		f.BytesDown, _ = writeSimpleResponse(clientConn, http.StatusBadGateway, nil, nil)
 		p.metrics.upstreamErrors.Inc()
-		p.recordStats(f)
-		p.cfg.Sink.Record(f)
+		p.record(f)
 	}
 
 	up, err := p.dialOriginTLS(r.Context(), reqHost)
@@ -91,12 +79,12 @@ func (p *Proxy) serveWSTunnel(clientConn net.Conn, br *bufio.Reader, r *http.Req
 		// are void anyway).
 		respBody, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 		resp.Body.Close()
-		f := p.newFlow(start, capture.HTTPS, r, reqHost, "https://"+reqHost+r.RequestURI, nil, true)
-		p.finishFlow(f, resp, respBody)
-		n, _ := writeSimpleResponse(clientConn, resp.StatusCode, resp.Header, respBody)
-		f.BytesDown = n
-		p.recordStats(f)
-		p.cfg.Sink.Record(f)
+		f := p.newFlow(start, capture.HTTPS, r, reqHost, "https://"+reqHost+r.RequestURI, nil)
+		f.Status = resp.StatusCode
+		f.ResponseSize = int64(len(respBody))
+		f.ResponseHeaders = flatten(resp.Header)
+		f.BytesDown, _ = writeSimpleResponse(clientConn, resp.StatusCode, resp.Header, respBody)
+		p.record(f)
 		return
 	}
 	resp.Body.Close()
@@ -138,14 +126,10 @@ func (p *Proxy) serveWSTunnel(clientConn net.Conn, br *bufio.Reader, r *http.Req
 	// The handshake request has no body, so newFlow's BytesUp is just the
 	// upgrade's wire size; the relayed frames are added on top, and the
 	// captured payload rides in RequestBody without re-entering the size.
-	f := p.newFlow(start, capture.WS, r, reqHost, absURL, nil, true)
+	f := p.newFlow(start, capture.WS, r, reqHost, absURL, nil)
 	f.RequestBody = string(rl.body)
 	f.Status = http.StatusSwitchingProtocols
-	rh := make(map[string]string, len(resp.Header))
-	for k, vv := range resp.Header {
-		rh[k] = strings.Join(vv, ", ")
-	}
-	f.ResponseHeaders = rh
+	f.ResponseHeaders = flatten(resp.Header)
 	f.ResponseSize = rl.downPayload
 	f.BytesUp += rl.upWire
 	f.BytesDown = hsDown + rl.downWire
@@ -164,8 +148,7 @@ func (p *Proxy) serveWSTunnel(clientConn net.Conn, br *bufio.Reader, r *http.Req
 		f.Rewritten = rl.mitigated // frames actually rewritten in flight
 		p.traceInlineVerdict(reqHost, iv)
 	}
-	p.recordStats(f)
-	p.cfg.Sink.Record(f)
+	p.record(f)
 }
 
 // dialOriginTLS opens the upstream TLS connection for a relayed socket.
