@@ -393,9 +393,9 @@ func BenchmarkAblationEasyList(b *testing.B) {
 // through one long-lived proxy: each op pays a device-side handshake,
 // abbreviated when it resumes, while the upstream connection stays alive.
 // In "proxy-per-op" every op also builds a fresh proxy from one shared
-// proxy.Sessions, as the campaign runner does per experiment, so each op
-// pays an upstream handshake too. resumed/op is the share of device-side
-// handshakes that resumed.
+// proxy.Sessions, as the campaign runner does per experiment; the proxies
+// share its upstream pool, so the upstream connection stays pooled across
+// them too. resumed/op is the share of device-side handshakes that resumed.
 func BenchmarkAblationTLSResume(b *testing.B) {
 	eco, err := services.Start(services.Catalog()[:1])
 	if err != nil {
@@ -418,6 +418,7 @@ func BenchmarkAblationTLSResume(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				defer sessions.CloseIdleConnections()
 				trust := ca.Pool()
 				trust.AppendCertsFromPEM(eco.Internet.CA.CertPEM())
 				var sink capture.CountingSink

@@ -25,7 +25,6 @@ import (
 	"appvsweb/internal/capture"
 	"appvsweb/internal/core"
 	"appvsweb/internal/obs"
-	"appvsweb/internal/services"
 )
 
 func main() {
@@ -63,7 +62,7 @@ func main() {
 	var ds *core.Dataset
 	var err error
 	if *replay != "" {
-		ds, err = core.ReplayCampaign(services.Catalog(), *replay, *noFilter)
+		ds, err = core.ReplayCampaign(*replay, *noFilter)
 		if err != nil {
 			fatalf("replay traces: %v", err)
 		}

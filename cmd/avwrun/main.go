@@ -290,26 +290,11 @@ func selectServices(keys string) ([]*services.Spec, error) {
 	if keys == "" {
 		return services.Catalog(), nil
 	}
-	want := make(map[string]bool)
+	var list []string
 	for _, k := range strings.Split(keys, ",") {
-		want[strings.TrimSpace(k)] = true
+		list = append(list, strings.TrimSpace(k))
 	}
-	var selected []*services.Spec
-	for _, s := range append(services.Catalog(), services.ProtocolSpecs()...) {
-		if want[s.Key] {
-			selected = append(selected, s)
-			delete(want, s.Key)
-		}
-	}
-	if len(want) > 0 {
-		unknown := make([]string, 0, len(want))
-		for k := range want {
-			unknown = append(unknown, fmt.Sprintf("%q", k))
-		}
-		sort.Strings(unknown)
-		return nil, fmt.Errorf("unknown service %s", strings.Join(unknown, ", "))
-	}
-	return selected, nil
+	return services.Lookup(list)
 }
 
 // runFlags are the flag values whose combinations avwrun checks before

@@ -375,6 +375,46 @@ func TestDatasetStats(t *testing.T) {
 	}
 }
 
+// TestCampaignSharesAndReleasesUpstreamPool: a campaign's experiments
+// share one upstream pool, so the campaign dials fewer origin connections
+// than its experiments dial when each runs alone (RunExperiment releases
+// the pool between them), and a campaign releases the pool when it
+// returns, so the next campaign dials its origins again instead of riding
+// the last one's idle connections.
+func TestCampaignSharesAndReleasesUpstreamPool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs reduced campaigns")
+	}
+	reg := obs.New()
+	r := testRunner(t, Options{Scale: 0.2, Parallelism: 1, Metrics: reg}, "grubexpress")
+	conns := reg.Counter("proxy.upstream_conns_total")
+	dials := func(run func()) int64 {
+		before := conns.Value()
+		run()
+		return conns.Value() - before
+	}
+	campaign := func() {
+		if _, err := r.RunCampaign(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, second := dials(campaign), dials(campaign)
+	alone := dials(func() {
+		for _, cell := range services.AllCells() {
+			if _, err := r.RunExperiment(r.Eco.Catalog[0], cell); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("origin dials: campaign %d, next campaign %d, experiments alone %d", first, second, alone)
+	if first == 0 || first >= alone {
+		t.Errorf("campaign dialed %d origin connections, experiments alone %d: the pool is not shared", first, alone)
+	}
+	if 2*second < first {
+		t.Errorf("second campaign dialed %d origin connections, first %d: the first left its pool open", second, first)
+	}
+}
+
 func TestCampaignInstrumentation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a reduced campaign")

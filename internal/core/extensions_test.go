@@ -144,7 +144,7 @@ func TestTraceReplayMatchesLiveAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := ReplayCampaign(r.Eco.Catalog, dir, false)
+	replayed, err := ReplayCampaign(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestTraceReplayAblation(t *testing.T) {
 	}
 	// Only one cell's trace exists; replay just that one via the full
 	// campaign API is not possible, so analyze the file directly.
-	replayed, err := ReplayCampaign(r.Eco.Catalog, dir, true)
+	replayed, err := ReplayCampaign(dir, true)
 	if err == nil {
 		_ = replayed
 		t.Fatal("expected error: traces missing for unmeasured cells")
@@ -196,8 +196,7 @@ func TestTraceReplayAblation(t *testing.T) {
 
 // TestReplayMissingDirErrors ensures a clear failure for absent traces.
 func TestReplayMissingDirErrors(t *testing.T) {
-	eco := startSubset(t, "docuscan")
-	if _, err := ReplayCampaign(eco.Catalog, filepath.Join(t.TempDir(), "nope"), false); err == nil {
+	if _, err := ReplayCampaign(filepath.Join(t.TempDir(), "nope"), false); err == nil {
 		t.Fatal("missing trace dir accepted")
 	}
 }
@@ -215,9 +214,23 @@ func TestReplayMissingMetaErrors(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, TraceMetaFile)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReplayCampaign(r.Eco.Catalog, dir, false)
+	_, err := ReplayCampaign(dir, false)
 	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, TraceMetaFile)) {
 		t.Fatalf("err = %v, want one naming %s", err, TraceMetaFile)
+	}
+}
+
+// TestReplayMetaWithoutServicesErrors: campaign settings that do not list
+// the campaign's services fail replay with an error naming the field,
+// rather than replaying some other service set.
+func TestReplayMetaWithoutServicesErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, TraceMetaFile), []byte(`{"scale":0.05,"duration":240000000000}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReplayCampaign(dir, false)
+	if err == nil || !strings.Contains(err.Error(), `"services"`) {
+		t.Fatalf("err = %v, want one naming the \"services\" field", err)
 	}
 }
 

@@ -16,15 +16,21 @@ import (
 // previous campaign persisted (Options.TraceDir) — the "we make our
 // dataset and code available" workflow: anyone holding the traces can
 // regenerate every result without re-measuring, or re-analyze them under
-// different pipeline settings (e.g. the filtering ablation).
+// different pipeline settings (e.g. the filtering ablation). The
+// campaign's services, scale and duration come from the directory's
+// TraceMetaFile; services resolve as services.Lookup resolves them.
 //
 // Ground truth is reconstructed deterministically: the same service key
 // always yields the same account, and the same OS the same handset, so
 // the detector sees exactly the values the original session carried.
-func ReplayCampaign(catalog []*services.Spec, traceDir string, disableBGFilter bool) (*Dataset, error) {
+func ReplayCampaign(traceDir string, disableBGFilter bool) (*Dataset, error) {
 	tm, err := readTraceMeta(traceDir)
 	if err != nil {
 		return nil, err
+	}
+	catalog, err := services.Lookup(tm.Services)
+	if err != nil {
+		return nil, fmt.Errorf("core: replay: %s: %w", filepath.Join(traceDir, TraceMetaFile), err)
 	}
 	cat := services.BuildCategorizer(catalog)
 	ds := &Dataset{
@@ -62,19 +68,24 @@ func ReplayCampaign(catalog []*services.Spec, traceDir string, disableBGFilter b
 }
 
 // TraceMetaFile names the file in a trace directory that records what the
-// flows cannot: the campaign's scale and session duration.
+// flows cannot: the campaign's service keys, scale and session duration.
 const TraceMetaFile = "campaign.json"
 
 type traceMeta struct {
+	Services []string      `json:"services"`
 	Scale    float64       `json:"scale"`
 	Duration time.Duration `json:"duration"`
 }
 
-// writeTraceMeta records a campaign's scale and duration in dir. Every
-// shard of a campaign writes the same bytes, each after its own truncate,
-// so concurrent writers still leave the whole file.
-func writeTraceMeta(dir string, scale float64, duration time.Duration) error {
-	b, err := json.Marshal(traceMeta{Scale: scale, Duration: duration})
+// writeTraceMeta records a campaign's services, scale and duration in dir.
+// Every shard of a campaign writes the same bytes, each after its own
+// truncate, so concurrent writers still leave the whole file.
+func writeTraceMeta(dir string, catalog []*services.Spec, scale float64, duration time.Duration) error {
+	keys := make([]string, len(catalog))
+	for i, s := range catalog {
+		keys[i] = s.Key
+	}
+	b, err := json.Marshal(traceMeta{Services: keys, Scale: scale, Duration: duration})
 	if err == nil {
 		err = os.WriteFile(filepath.Join(dir, TraceMetaFile), append(b, '\n'), 0o644)
 	}
@@ -94,6 +105,9 @@ func readTraceMeta(dir string) (traceMeta, error) {
 	}
 	if err := json.Unmarshal(b, &tm); err != nil {
 		return tm, fmt.Errorf("core: replay: campaign settings %s: %w", path, err)
+	}
+	if len(tm.Services) == 0 {
+		return tm, fmt.Errorf(`core: replay: campaign settings %s: no "services" list`, path)
 	}
 	return tm, nil
 }

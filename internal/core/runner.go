@@ -59,10 +59,10 @@ type Options struct {
 	// do not reach inside native apps.
 	BrowserAdblock bool
 	// TraceDir, when set, persists each experiment's pre-filter capture as
-	// JSONL under this directory, beside the campaign's scale and duration
-	// (TraceMetaFile), so ReplayCampaign can redo the whole pipeline,
-	// background filtering included, without re-measuring ("we make our
-	// dataset and code available").
+	// JSONL under this directory, beside the campaign's services, scale
+	// and duration (TraceMetaFile), so ReplayCampaign can redo the whole
+	// pipeline, background filtering included, without re-measuring ("we
+	// make our dataset and code available").
 	TraceDir string
 	// DenyPermissions starves the listed PII classes in app sessions
 	// (simulated permission denial) — the app-side counterpart of the
@@ -167,8 +167,9 @@ type Runner struct {
 	Opts Options
 
 	ca *proxy.CA // shared interception CA (the installed profile)
-	// sessions is the TLS session state every experiment's proxy shares,
-	// so device tunnels and upstream connections resume across them.
+	// sessions is the state every experiment's proxy shares: ticket keys,
+	// so device tunnels resume across experiments, and one upstream
+	// connection pool, released when each campaign ends.
 	sessions *proxy.Sessions
 	trust    *x509.CertPool
 	// ids hands out campaign-unique flow IDs across every experiment's
@@ -176,9 +177,9 @@ type Runner struct {
 	ids *capture.IDSource
 }
 
-// NewRunner prepares a runner: it generates the interception CA, the TLS
-// session state its proxies share, and the device trust store (platform
-// roots + installed profile).
+// NewRunner prepares a runner: it generates the interception CA, the
+// session state and upstream pool its proxies share, and the device trust
+// store (platform roots + installed profile).
 func NewRunner(eco *services.Ecosystem, opts Options) (*Runner, error) {
 	ca, err := proxy.NewCA("Meddle Interception CA")
 	if err != nil {
@@ -211,6 +212,7 @@ func (r *Runner) RunExperiment(spec *services.Spec, cell services.Cell) (*Experi
 // context: canceling it aborts the session mid-flight, and
 // Options.ExperimentTimeout and Options.Retry apply as in a campaign.
 func (r *Runner) RunExperimentContext(ctx context.Context, spec *services.Spec, cell services.Cell) (*ExperimentResult, error) {
+	defer r.sessions.CloseIdleConnections()
 	run, _, err := r.runExperimentResilient(ctx, spec, cell, time.Date(2016, 4, 1, 9, 0, 0, 0, time.UTC))
 	if err != nil {
 		return nil, err
@@ -340,6 +342,7 @@ func (r *Runner) runExperimentSpanned(ctx context.Context, spec *services.Spec, 
 		ClientID:   clientID,
 		Tracer:     tr,
 		SpanID:     span,
+		Metrics:    reg,
 	}
 	if r.Opts.Protect {
 		pxCfg.Rewriter = NewProtector(spec.Key, identity, r.Eco.Categorizer)
@@ -688,6 +691,9 @@ type campaignJob struct {
 // even under the default abort policy, the dataset built from every
 // completed experiment is returned with the error rather than discarded.
 func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
+	// The campaign's experiments share one upstream pool; its connections
+	// go with the campaign, not with the 30 s idle timeout.
+	defer r.sessions.CloseIdleConnections()
 	// Enumerate the full matrix first so every job's global index — the
 	// seed of its virtual-clock base — is identical no matter how the
 	// campaign is later filtered, then drop the cells an Experiments
@@ -706,7 +712,7 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 	}
 	matrix := idx // full-matrix size; jobs index into [0, matrix) sparsely
 	if r.Opts.TraceDir != "" {
-		if err := writeTraceMeta(r.Opts.TraceDir, r.Opts.Scale, r.Opts.Duration); err != nil {
+		if err := writeTraceMeta(r.Opts.TraceDir, r.Eco.Catalog, r.Opts.Scale, r.Opts.Duration); err != nil {
 			return nil, err
 		}
 	}

@@ -32,6 +32,7 @@ var descriptions = map[string]MetricDesc{
 	"proxy.tunnels_resumed_total":   {Type: "counter", Help: "CONNECT tunnels whose device-side TLS handshake resumed a session (abbreviated handshake; the resumed share is this over proxy.tunnels_total)."},
 	"proxy.tunnel_failures_total":   {Type: "counter", Help: "TLS-intercept failures: handshakes that failed or timed out, or tunnels aborted before the first request."},
 	"proxy.upstream_errors_total":   {Type: "counter", Help: "502s returned because the upstream dial or round-trip failed."},
+	"proxy.upstream_conns_total":    {Type: "counter", Help: "Connections the upstream pool dialed to origins; proxies built from one proxy.Sessions share the pool, so this stays well below proxy.requests_total."},
 	"proxy.bytes_up_total":          {Type: "counter", Help: "Approximate request wire bytes through all proxies."},
 	"proxy.bytes_down_total":        {Type: "counter", Help: "Approximate response wire bytes through all proxies."},
 	"proxy.flow_bytes":              {Type: "histogram", Unit: "bytes", Help: "Wire size (up + down) of one captured exchange."},

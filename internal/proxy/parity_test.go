@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -61,6 +62,7 @@ var parityTransports = []parityTransport{
 		serve: func(t *testing.T, p *Proxy, body string) (*http.Request, int64) {
 			r := httptest.NewRequest(http.MethodPost, "http://svc.example/signup", strings.NewReader(body))
 			r.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+			r.Header.Set("Content-Length", strconv.Itoa(len(body)))
 			rec := httptest.NewRecorder()
 			p.ServeHTTP(rec, r)
 			return r, responseWireSize(rec.Result().Header, rec.Body.Bytes())
@@ -86,6 +88,7 @@ var parityTransports = []parityTransport{
 			r := httptest.NewRequest(http.MethodPost, "/signup", strings.NewReader(body))
 			r.Host = "svc.example"
 			r.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+			r.Header.Set("Content-Length", strconv.Itoa(len(body)))
 			rec := httptest.NewRecorder()
 			(&h2TunnelHandler{p: p, tunnelHost: "svc.example"}).ServeHTTP(rec, r)
 			return r, responseWireSize(rec.Result().Header, rec.Body.Bytes())
@@ -99,19 +102,22 @@ var parityTransports = []parityTransport{
 // transport: one flow, BytesUp the request's wire size, BytesDown by the
 // transport's own success-path rule, the same Inline verdict and
 // Rewritten mark, and exactly one exchange (plus one upstream error on the
-// error row) in the proxy's metrics.
+// error row) in the proxy's metrics. The recorded Content-Length is the
+// length of the recorded body, which redaction shortens.
 func TestTransportParity(t *testing.T) {
 	rec := inlineRecord()
 	body := "email=" + rec.Email + "&plan=basic"
 	outcomes := []struct {
 		name      string
 		action    InlineAction
+		rewriter  Rewriter
 		upErr     error
 		status    int
 		rewritten bool
 		upErrors  int64
 	}{
 		{name: "forwarded", action: InlineRedact, status: http.StatusOK, rewritten: true},
+		{name: "rewriter", action: InlineLog, rewriter: dropPlan{}, status: http.StatusOK, rewritten: true},
 		{name: "inline-block", action: InlineBlock, status: http.StatusForbidden},
 		{name: "upstream-error", action: InlineLog, upErr: errors.New("origin unreachable"),
 			status: http.StatusBadGateway, upErrors: 1},
@@ -125,6 +131,7 @@ func TestTransportParity(t *testing.T) {
 					Resolver: NewMapResolver(),
 					Sink:     sink,
 					Inline:   NewInline(rec, oc.action, reg),
+					Rewriter: oc.rewriter,
 					Metrics:  reg,
 				})
 				if err != nil {
@@ -148,6 +155,12 @@ func TestTransportParity(t *testing.T) {
 				if want := requestWireSize(r, []byte(f.RequestBody)); f.BytesUp != want {
 					t.Errorf("BytesUp = %d, want requestWireSize %d", f.BytesUp, want)
 				}
+				if cl, want := f.RequestHeaders["Content-Length"], strconv.Itoa(len(f.RequestBody)); cl != want {
+					t.Errorf("Content-Length = %q, want %q (len(RequestBody))", cl, want)
+				}
+				if f.Rewritten && len(f.RequestBody) >= len(body) {
+					t.Errorf("rewritten body %q is not shorter than %q", f.RequestBody, body)
+				}
 				if f.BytesDown <= 0 || f.BytesDown != bytesDown {
 					t.Errorf("BytesDown = %d, want %d (> 0)", f.BytesDown, bytesDown)
 				}
@@ -168,4 +181,13 @@ func TestTransportParity(t *testing.T) {
 			})
 		}
 	}
+}
+
+// dropPlan is a protection rewriter that strips the plan field from every
+// request body.
+type dropPlan struct{}
+
+func (dropPlan) Rewrite(_ string, _ bool, url string, body []byte) (string, []byte, bool) {
+	out := bytes.Replace(body, []byte("&plan=basic"), nil, 1)
+	return url, out, len(out) != len(body)
 }

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -57,10 +58,10 @@ type Config struct {
 	// because by this point interception has demonstrably worked.
 	// Defaults to 5m; negative disables.
 	IdleTimeout time.Duration
-	// Sessions is the TLS session state shared across tunnels and across
-	// proxies: the tunnels' session-ticket keys and the upstream session
-	// cache. A campaign runner passes one to every experiment's proxy. Nil
-	// makes a proxy-private one.
+	// Sessions is the state shared across tunnels and across proxies: the
+	// tunnels' session-ticket keys and the upstream connection pool. A
+	// campaign runner passes one to every experiment's proxy. Nil makes a
+	// proxy-private one, released on Close.
 	Sessions *Sessions
 	// DisableTLSResume turns off resumption on both sides: tunnels issue
 	// no session tickets and upstream connections use no session cache.
@@ -98,8 +99,11 @@ type Rewriter interface {
 // Proxy is a recording HTTP(S) forward proxy.
 type Proxy struct {
 	cfg      Config
-	upstream *http.Transport
+	upstream *http.Transport   // cfg.Sessions' pool
 	rt       http.RoundTripper // p.upstream, swappable by benchmarks
+	// ownsPool is set when the proxy made its own Sessions, so Close
+	// releases the pool; a shared pool is its owner's to release.
+	ownsPool bool
 	srv      *http.Server
 	ln       net.Listener
 
@@ -122,6 +126,7 @@ type Proxy struct {
 // them into one process-wide view.
 type proxyMetrics struct {
 	requests       *obs.Counter
+	upstreamConns  *obs.Counter
 	tunnels        *obs.Counter
 	tunnelsResumed *obs.Counter
 	tunnelFailures *obs.Counter
@@ -145,6 +150,7 @@ func newProxyMetrics(reg *obs.Registry) proxyMetrics {
 	wsFrames := reg.CounterVec("proxy.ws.frames", "dir")
 	return proxyMetrics{
 		requests:       reg.Counter("proxy.requests_total"),
+		upstreamConns:  reg.Counter("proxy.upstream_conns_total"),
 		tunnels:        reg.Counter("proxy.tunnels_total"),
 		tunnelsResumed: reg.Counter("proxy.tunnels_resumed_total"),
 		tunnelFailures: reg.Counter("proxy.tunnel_failures_total"),
@@ -190,27 +196,39 @@ func New(cfg Config) (*Proxy, error) {
 	} else if cfg.IdleTimeout < 0 {
 		cfg.IdleTimeout = 0
 	}
-	if cfg.Sessions == nil && !cfg.DisableTLSResume {
+	ownsPool := cfg.Sessions == nil
+	if ownsPool {
 		s, err := NewSessions()
 		if err != nil {
 			return nil, err
 		}
 		cfg.Sessions = s
 	}
-	tlsCfg := &tls.Config{RootCAs: cfg.OriginPool}
-	if !cfg.DisableTLSResume {
-		tlsCfg.ClientSessionCache = cfg.Sessions.upstream
-	}
 	p := &Proxy{
-		cfg:     cfg,
-		metrics: newProxyMetrics(cfg.Metrics),
-		upstream: &http.Transport{
-			DialContext:         DialContext(cfg.Resolver),
+		cfg:      cfg,
+		metrics:  newProxyMetrics(cfg.Metrics),
+		ownsPool: ownsPool,
+	}
+	conns := p.metrics.upstreamConns
+	p.upstream = cfg.Sessions.transport(func() *http.Transport {
+		tlsCfg := &tls.Config{RootCAs: cfg.OriginPool}
+		if !cfg.DisableTLSResume {
+			tlsCfg.ClientSessionCache = tls.NewLRUClientSessionCache(upstreamSessionCacheSize)
+		}
+		dial := DialContext(cfg.Resolver)
+		return &http.Transport{
+			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				conn, err := dial(ctx, network, addr)
+				if err == nil {
+					conns.Inc()
+				}
+				return conn, err
+			},
 			TLSClientConfig:     tlsCfg,
 			MaxIdleConnsPerHost: 8,
 			IdleConnTimeout:     30 * time.Second,
-		},
-	}
+		}
+	})
 	p.rt = p.upstream
 	p.srv = &http.Server{Handler: p}
 	return p, nil
@@ -265,7 +283,8 @@ func (p *Proxy) Drain(timeout time.Duration) bool {
 	}
 }
 
-// Close shuts the proxy down and releases its upstream connections.
+// Close shuts the proxy down and, unless its Sessions was passed in,
+// releases its upstream connections.
 func (p *Proxy) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -274,7 +293,9 @@ func (p *Proxy) Close() error {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	p.upstream.CloseIdleConnections()
+	if p.ownsPool {
+		p.upstream.CloseIdleConnections()
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	return p.srv.Shutdown(ctx)
@@ -480,6 +501,11 @@ func (p *Proxy) exchange(r *http.Request, proto capture.Protocol, host, absURL s
 	if !blocked {
 		absURL, body, rewritten = p.rewrite(host, proto == capture.HTTP, absURL, body)
 		resp, respBody, upErr = p.roundTrip(p.outboundRequest(r, absURL, body))
+	}
+	// The flow records the body that was forwarded, which redaction or
+	// the rewriter may have resized; its Content-Length follows.
+	if r.ContentLength != int64(len(body)) && r.Header.Get("Content-Length") != "" {
+		r.Header.Set("Content-Length", strconv.Itoa(len(body)))
 	}
 
 	f := p.newFlow(start, proto, r, host, absURL, body)

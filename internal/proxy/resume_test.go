@@ -110,7 +110,9 @@ type resumeOrigin struct {
 	resumed []bool
 }
 
-func (o *resumeOrigin) serve(w *testWorld, host string) {
+// serve starts the origin for host. Without keepAlive it closes every
+// connection after one response, so each request needs a new handshake.
+func (o *resumeOrigin) serve(w *testWorld, host string, keepAlive bool) {
 	w.t.Helper()
 	leaf, err := w.originCA.Leaf(host)
 	if err != nil {
@@ -129,6 +131,7 @@ func (o *resumeOrigin) serve(w *testWorld, host string) {
 		w.t.Fatal(err)
 	}
 	srv := &http.Server{Handler: echoHandler()}
+	srv.SetKeepAlivesEnabled(keepAlive)
 	go srv.Serve(ln) //nolint:errcheck
 	w.t.Cleanup(func() { srv.Close() })
 	w.resolver.Register(host, "443", ln.Addr().String())
@@ -142,10 +145,14 @@ func (o *resumeOrigin) handshakes() []bool {
 
 // TestSharedSessionsResumeAcrossProxies: two proxies built from one
 // Sessions value — as a campaign runner builds its experiments' proxies —
-// resume on both sides: the second proxy's first upstream connection
-// resumes the session the first proxy established, and the device's
-// tunnel to the second proxy resumes with a ticket the first one issued.
-// DisableTLSResume turns both sides off.
+// share its upstream pool and TLS session state. A keep-alive origin
+// serves both proxies over one pooled connection, which the first proxy's
+// Close leaves open. An origin that closes every connection is dialed
+// again by the second proxy, and that handshake resumes the session the
+// first dial established. The device's tunnel to the second proxy resumes
+// with a ticket the first one issued. DisableTLSResume turns resumption
+// off on both sides; pooling does not depend on it. CloseIdleConnections
+// releases the pool: the next request dials the keep-alive origin again.
 func TestSharedSessionsResumeAcrossProxies(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		name := "resume-on"
@@ -154,8 +161,9 @@ func TestSharedSessionsResumeAcrossProxies(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			w := newWorld(t)
-			origin := &resumeOrigin{}
-			origin.serve(w, "svc.example")
+			pooled, closing := &resumeOrigin{}, &resumeOrigin{}
+			pooled.serve(w, "svc.example", true)
+			closing.serve(w, "close.example", false)
 			sessions, err := NewSessions()
 			if err != nil {
 				t.Fatal(err)
@@ -165,8 +173,9 @@ func TestSharedSessionsResumeAcrossProxies(t *testing.T) {
 			// The device keeps one session cache across both proxies.
 			deviceCache := tls.NewLRUClientSessionCache(8)
 			var tunnelResumed []bool
-			for i := 0; i < 2; i++ {
-				p, err := New(Config{
+			var p *Proxy
+			device := func() *http.Client {
+				p, err = New(Config{
 					CA: w.proxyCA, Sessions: sessions, DisableTLSResume: disable,
 					Resolver: w.resolver, OriginPool: w.originCA.Pool(), Sink: w.sink,
 				})
@@ -178,21 +187,33 @@ func TestSharedSessionsResumeAcrossProxies(t *testing.T) {
 				}
 				tr := ClientTransport(p.URL(), pool)
 				tr.TLSClientConfig.ClientSessionCache = deviceCache
-				device := &http.Client{Transport: tr, Timeout: 5 * time.Second}
-				tunnelResumed = append(tunnelResumed, getResumed(t, device, "https://svc.example/x"))
+				return &http.Client{Transport: tr, Timeout: 5 * time.Second}
+			}
+			for i := 0; i < 2; i++ {
+				d := device()
+				tunnelResumed = append(tunnelResumed, getResumed(t, d, "https://svc.example/x"))
+				getResumed(t, d, "https://close.example/x")
 				drained(t, p, w.sink.Flows)
 				p.Close()
 			}
-			upstream := origin.handshakes()
-			if len(upstream) != 2 {
-				t.Fatalf("origin handshakes = %d, want 2 (one per proxy)", len(upstream))
+			if n := len(pooled.handshakes()); n != 1 {
+				t.Errorf("keep-alive origin handshakes = %d, want 1 (one pooled connection for both proxies)", n)
 			}
 			want := []bool{false, !disable}
-			if !reflect.DeepEqual(upstream, want) {
-				t.Errorf("upstream resumed = %v, want %v", upstream, want)
+			if got := closing.handshakes(); !reflect.DeepEqual(got, want) {
+				t.Errorf("closing origin resumed = %v, want %v", got, want)
 			}
 			if !reflect.DeepEqual(tunnelResumed, want) {
 				t.Errorf("device tunnel resumed = %v, want %v", tunnelResumed, want)
+			}
+
+			sessions.CloseIdleConnections()
+			d := device()
+			getResumed(t, d, "https://svc.example/x")
+			drained(t, p, w.sink.Flows)
+			p.Close()
+			if got, want := pooled.handshakes(), []bool{false, !disable}; !reflect.DeepEqual(got, want) {
+				t.Errorf("keep-alive origin resumed = %v after CloseIdleConnections, want %v (a new dial)", got, want)
 			}
 		})
 	}

@@ -1,5 +1,38 @@
 package services
 
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
+
+// Lookup resolves service keys against Catalog(), then ProtocolSpecs(),
+// and returns the specs in that order. Every key must name a service; the
+// error lists the ones that do not. avwrun -services and trace replay
+// both resolve a campaign's services this way.
+func Lookup(keys []string) ([]*Spec, error) {
+	want := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		want[k] = true
+	}
+	var selected []*Spec
+	for _, s := range append(Catalog(), ProtocolSpecs()...) {
+		if want[s.Key] {
+			selected = append(selected, s)
+			delete(want, s.Key)
+		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for k := range want {
+			unknown = append(unknown, fmt.Sprintf("%q", k))
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown service %s", strings.Join(unknown, ", "))
+	}
+	return selected, nil
+}
+
 // ProtocolSpecs returns demo services exercising the proxy's non-h1
 // interception paths (docs/protocols.md): a chat app that streams
 // name+location over a WebSocket, and an analytics-heavy app whose SDK
