@@ -81,7 +81,10 @@ type event struct {
 
 // benchLine matches a `go test -bench` result line inside an Output
 // field, e.g. "BenchmarkScan/engine-8   278018   5093 ns/op   312 B/op   5 allocs/op".
-var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+([0-9.]+) B/op)?(?:\s+([0-9]+) allocs/op)?`)
+// Any columns between ns/op and B/op (MB/s, b.ReportMetric units) are
+// skipped; the line must end after the last column, so B/op and
+// allocs/op are read where `go test -benchmem` prints them, last.
+var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.e+-]+ \S+)*?(?:\s+([0-9.]+) B/op)?(?:\s+([0-9]+) allocs/op)?\s*$`)
 
 func parseStreams(paths []string) (map[string]Result, error) {
 	out := make(map[string]Result)

@@ -51,6 +51,42 @@ func TestParseStreamsReassemblesSplitLines(t *testing.T) {
 	}
 }
 
+// TestParseStreamsResultColumns: ns/op and allocs/op are read whatever
+// columns sit between them. The first row is BenchmarkAblationTLSResume's
+// line from BENCH_macro.json, whose b.ReportMetric column once made its
+// allocs parse as 0.
+func TestParseStreamsResultColumns(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want Result
+	}{
+		{"BenchmarkAblationTLSResume/tunnel/resume-off-2   \t    1033\t   1519420 ns/op\t         0 resumed/op\t  153921 B/op\t    1325 allocs/op\n",
+			Result{NsPerOp: 1519420, AllocsPerOp: 1325}},
+		{"BenchmarkX-2 \t 100\t 42 ns/op\t 0.9991 resumed/op\t 3.000 conns/op\t 7 B/op\t 2 allocs/op\n",
+			Result{NsPerOp: 42, AllocsPerOp: 2}},
+		{"BenchmarkX-2 \t 100\t 42 ns/op\t 228.28 MB/s\t 312 B/op\t 5 allocs/op\n",
+			Result{NsPerOp: 42, AllocsPerOp: 5}},
+		{"BenchmarkX-2 \t 100\t 42 ns/op\t 228.28 MB/s\n", Result{NsPerOp: 42}},
+		{"BenchmarkX-2 \t 100\t 42 ns/op\n", Result{NsPerOp: 42}},
+	} {
+		path := filepath.Join(t.TempDir(), "s.json")
+		writeStream(t, path, "p|"+tc.line)
+		got, err := parseStreams([]string{path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 {
+			t.Errorf("%q: parsed %v, want one result", tc.line, got)
+			continue
+		}
+		for _, r := range got {
+			if r != tc.want {
+				t.Errorf("%q: parsed %+v, want %+v", tc.line, r, tc.want)
+			}
+		}
+	}
+}
+
 func TestParseStreamsKeepsMinOfN(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.json")
 	// -count=3: the best ns/op and the best allocs/op are kept

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -412,6 +414,61 @@ func TestCampaignSharesAndReleasesUpstreamPool(t *testing.T) {
 	}
 	if 2*second < first {
 		t.Errorf("second campaign dialed %d origin connections, first %d: the first left its pool open", second, first)
+	}
+}
+
+// TestCampaignSharesMatcherPerIdentity: a campaign compiles one matcher
+// per (service, OS). Each experiment's matcher finds what
+// pii.NewMatcher(IdentityFor(key, os)) finds, the app and Web cells of a
+// pair hold the same *pii.Matcher, and the next campaign builds its own.
+func TestCampaignSharesMatcherPerIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs reduced campaigns")
+	}
+	r := testRunner(t, Options{Scale: 0.2, Parallelism: 2}, "weathernow", "grubexpress")
+	campaign := func() map[matcherKey]*pii.Matcher {
+		_, runs, err := r.runCampaign(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[matcherKey]*pii.Matcher{}
+		n := 0
+		for _, run := range runs {
+			if run == nil || run.det == nil {
+				continue
+			}
+			n++
+			res := run.result
+			k := matcherKey{res.Service, res.OS}
+			m := run.det.Matcher
+			if prev, ok := got[k]; ok && prev != m {
+				t.Errorf("%s/%s: the app and Web cells hold different matchers", res.Service, res.OS)
+			}
+			got[k] = m
+			rec := IdentityFor(res.Service, res.OS)
+			want := pii.NewMatcher(rec)
+			var probe []string
+			for _, v := range rec.Values() {
+				for _, e := range pii.Encoders() {
+					probe = append(probe, e.Apply(v.Text))
+				}
+			}
+			content := strings.Join(probe, "|")
+			if m.NumNeedles() != want.NumNeedles() || m.NumStates() != want.NumStates() ||
+				!reflect.DeepEqual(m.Scan("body", content), want.Scan("body", content)) {
+				t.Errorf("%s/%s/%s: matcher differs from the identity's own", res.Service, res.OS, res.Medium)
+			}
+		}
+		if n != 8 || len(got) != 4 {
+			t.Fatalf("%d experiments measured with %d matchers, want 8 with 4", n, len(got))
+		}
+		return got
+	}
+	first, second := campaign(), campaign()
+	for k, m := range first {
+		if second[k] == m {
+			t.Errorf("%s/%s: the second campaign reused the first's matcher", k.service, k.os)
+		}
 	}
 }
 

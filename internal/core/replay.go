@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"appvsweb/internal/capture"
-	"appvsweb/internal/pii"
 	"appvsweb/internal/services"
 )
 
@@ -41,6 +40,9 @@ func ReplayCampaign(traceDir string, disableBGFilter bool) (*Dataset, error) {
 			Duration:    tm.Duration,
 		},
 	}
+	// The app and Web traces of a (service, OS) share one matcher, as in
+	// a live campaign.
+	var matchers matcherSet
 	for _, spec := range catalog {
 		for _, cell := range services.AllCells() {
 			result := &ExperimentResult{
@@ -51,7 +53,7 @@ func ReplayCampaign(traceDir string, disableBGFilter bool) (*Dataset, error) {
 			flows, err := capture.LoadTrace(path)
 			switch {
 			case err == nil:
-				det := &Detector{Matcher: pii.NewMatcher(IdentityFor(spec.Key, cell.OS))}
+				det := &Detector{Matcher: matchers.get(spec.Key, cell.OS, IdentityFor(spec.Key, cell.OS))}
 				AnalyzeFlows(cat, disableBGFilter, spec.Key, result, det, flows)
 			case os.IsNotExist(err) && spec.PinsAndroid && cell.OS == services.Android && cell.Medium == services.App:
 				// Pinned experiments never produced a trace.

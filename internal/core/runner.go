@@ -203,6 +203,45 @@ type experimentRun struct {
 	det    *Detector
 }
 
+// matcherSet holds one campaign's PII matchers, one per (service, OS).
+// The app and Web experiments of a pair search for the same identity
+// (IdentityFor does not depend on the medium), so they share one compiled
+// automaton.
+type matcherSet struct {
+	mu sync.Mutex
+	m  map[matcherKey]*lazyMatcher
+}
+
+type matcherKey struct {
+	service string
+	os      services.OS
+}
+
+// lazyMatcher is built by the first experiment of its pair that asks. The
+// two workers often run a pair's app and Web cells at once, so the second
+// waits for that build instead of starting its own.
+type lazyMatcher struct {
+	once sync.Once
+	m    *pii.Matcher
+}
+
+// get returns the matcher for service's identity rec on os.
+func (s *matcherSet) get(service string, os services.OS, rec *pii.Record) *pii.Matcher {
+	k := matcherKey{service, os}
+	s.mu.Lock()
+	if s.m == nil {
+		s.m = make(map[matcherKey]*lazyMatcher)
+	}
+	e := s.m[k]
+	if e == nil {
+		e = new(lazyMatcher)
+		s.m[k] = e
+	}
+	s.mu.Unlock()
+	e.once.Do(func() { e.m = pii.NewMatcher(rec) })
+	return e.m
+}
+
 // RunExperiment performs one service × OS × medium experiment.
 func (r *Runner) RunExperiment(spec *services.Spec, cell services.Cell) (*ExperimentResult, error) {
 	return r.RunExperimentContext(context.Background(), spec, cell)
@@ -213,7 +252,7 @@ func (r *Runner) RunExperiment(spec *services.Spec, cell services.Cell) (*Experi
 // Options.ExperimentTimeout and Options.Retry apply as in a campaign.
 func (r *Runner) RunExperimentContext(ctx context.Context, spec *services.Spec, cell services.Cell) (*ExperimentResult, error) {
 	defer r.sessions.CloseIdleConnections()
-	run, _, err := r.runExperimentResilient(ctx, spec, cell, time.Date(2016, 4, 1, 9, 0, 0, 0, time.UTC))
+	run, _, err := r.runExperimentResilient(ctx, spec, cell, time.Date(2016, 4, 1, 9, 0, 0, 0, time.UTC), new(matcherSet))
 	if err != nil {
 		return nil, err
 	}
@@ -224,12 +263,13 @@ func (r *Runner) RunExperimentContext(ctx context.Context, spec *services.Spec, 
 // and the retry policy: transient failures back off exponentially (with
 // deterministic jitter) and retry up to the policy's budget; fatal
 // failures and campaign cancellation return immediately. It reports the
-// number of attempts made alongside the outcome.
-func (r *Runner) runExperimentResilient(ctx context.Context, spec *services.Spec, cell services.Cell, base time.Time) (*experimentRun, int, error) {
+// number of attempts made alongside the outcome. matchers supplies the
+// experiment's PII matcher.
+func (r *Runner) runExperimentResilient(ctx context.Context, spec *services.Spec, cell services.Cell, base time.Time, matchers *matcherSet) (*experimentRun, int, error) {
 	reg := r.Opts.Metrics
 	max := r.Opts.Retry.maxFor(r.Opts.FailurePolicy)
 	for attempt := 0; ; attempt++ {
-		run, err := r.runExperimentAttempt(ctx, spec, cell, base, attempt)
+		run, err := r.runExperimentAttempt(ctx, spec, cell, base, attempt, matchers)
 		if err == nil {
 			return run, attempt + 1, nil
 		}
@@ -256,13 +296,13 @@ func (r *Runner) runExperimentResilient(ctx context.Context, spec *services.Spec
 
 // runExperimentAttempt runs one attempt under the per-experiment deadline
 // and wraps any failure as a classified ExperimentError.
-func (r *Runner) runExperimentAttempt(ctx context.Context, spec *services.Spec, cell services.Cell, base time.Time, attempt int) (*experimentRun, error) {
+func (r *Runner) runExperimentAttempt(ctx context.Context, spec *services.Spec, cell services.Cell, base time.Time, attempt int, matchers *matcherSet) (*experimentRun, error) {
 	if r.Opts.ExperimentTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.Opts.ExperimentTimeout)
 		defer cancel()
 	}
-	run, err := r.runExperiment(ctx, spec, cell, base, attempt)
+	run, err := r.runExperiment(ctx, spec, cell, base, attempt, matchers)
 	if err == nil {
 		return run, nil
 	}
@@ -280,7 +320,7 @@ func (r *Runner) runExperimentAttempt(ctx context.Context, spec *services.Spec, 
 	return nil, xerr
 }
 
-func (r *Runner) runExperiment(ctx context.Context, spec *services.Spec, cell services.Cell, base time.Time, attempt int) (*experimentRun, error) {
+func (r *Runner) runExperiment(ctx context.Context, spec *services.Spec, cell services.Cell, base time.Time, attempt int, matchers *matcherSet) (*experimentRun, error) {
 	reg := r.Opts.Metrics
 	defer reg.Histogram("campaign.experiment_ns", "ns").Span().End()
 	defer reg.Counter("campaign.experiments_total").Inc()
@@ -296,7 +336,7 @@ func (r *Runner) runExperiment(ctx context.Context, spec *services.Spec, cell se
 	r.Opts.Logger.Debug("experiment start",
 		"span", span, "service", spec.Key, "os", string(cell.OS), "medium", string(cell.Medium))
 
-	run, err := r.runExperimentSpanned(ctx, spec, cell, base, span, attempt)
+	run, err := r.runExperimentSpanned(ctx, spec, cell, base, span, attempt, matchers)
 
 	attrs := map[string]string{
 		"service": spec.Key, "os": string(cell.OS), "medium": string(cell.Medium),
@@ -318,7 +358,7 @@ func (r *Runner) runExperiment(ctx context.Context, spec *services.Spec, cell se
 	return run, err
 }
 
-func (r *Runner) runExperimentSpanned(ctx context.Context, spec *services.Spec, cell services.Cell, base time.Time, span string, attempt int) (*experimentRun, error) {
+func (r *Runner) runExperimentSpanned(ctx context.Context, spec *services.Spec, cell services.Cell, base time.Time, span string, attempt int, matchers *matcherSet) (*experimentRun, error) {
 	reg := r.Opts.Metrics
 	tr := r.Opts.Tracer
 	clock := vclock.New(base)
@@ -419,7 +459,7 @@ func (r *Runner) runExperimentSpanned(ctx context.Context, spec *services.Spec, 
 	if err := r.inject(ctx, spec, cell, StageAnalysis, attempt); err != nil {
 		return nil, &ExperimentError{Stage: StageAnalysis, Err: err}
 	}
-	det := &Detector{Matcher: pii.NewMatcher(identity)}
+	det := &Detector{Matcher: matchers.get(spec.Key, cell.OS, identity)}
 	if err := r.drainCapture(px, sink, drainTimeout, span, clientID); err != nil {
 		return nil, err
 	}
@@ -691,6 +731,13 @@ type campaignJob struct {
 // even under the default abort policy, the dataset built from every
 // completed experiment is returned with the error rather than discarded.
 func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
+	ds, _, err := r.runCampaign(parent)
+	return ds, err
+}
+
+// runCampaign is RunCampaignContext. It also returns the campaign's
+// measured experiments, indexed by their place in the full matrix.
+func (r *Runner) runCampaign(parent context.Context) (*Dataset, []*experimentRun, error) {
 	// The campaign's experiments share one upstream pool; its connections
 	// go with the campaign, not with the 30 s idle timeout.
 	defer r.sessions.CloseIdleConnections()
@@ -713,7 +760,7 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 	matrix := idx // full-matrix size; jobs index into [0, matrix) sparsely
 	if r.Opts.TraceDir != "" {
 		if err := writeTraceMeta(r.Opts.TraceDir, r.Eco.Catalog, r.Opts.Scale, r.Opts.Duration); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -733,12 +780,15 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 	defer cancel()
 
 	r.Opts.Metrics.Gauge("campaign.jobs").Set(int64(len(jobs)))
-	// runs keeps each measured experiment's flows and detector (about 1 MB
-	// of automaton) until the campaign ends, TrainRecon or not; only
-	// annotateWithRecon reads them. At 200 experiments that is ~200 MB of
+	// matchers compiles each (service, OS) identity's matcher once, for
+	// this campaign only. runs keeps each measured experiment's flows and
+	// detector until the campaign ends, TrainRecon or not; only
+	// annotateWithRecon reads them. The detectors of a pair share one
+	// matcher of about 0.7 MB, so at 200 experiments that is ~70 MB of
 	// live heap, which sets the GC pace of the whole run. done is the
 	// keep-last fold of every record this campaign journals or resumes,
 	// from which its dataset is built.
+	var matchers matcherSet
 	runs := make([]*experimentRun, matrix)
 	var doneMu sync.Mutex
 	var done JournalSet
@@ -862,7 +912,7 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 			}
 			base := time.Date(2016, 4, 1, 9, 0, 0, 0, time.UTC).Add(time.Duration(j.idx) * 10 * time.Minute)
 			start := time.Now()
-			run, attempts, err := r.runExperimentResilient(ctx, j.spec, j.cell, base)
+			run, attempts, err := r.runExperimentResilient(ctx, j.spec, j.cell, base, &matchers)
 			ev := ProgressEvent{
 				Service: j.spec.Key, OS: j.cell.OS, Medium: j.cell.Medium,
 				Elapsed: time.Since(start), Attempts: attempts,
@@ -927,7 +977,7 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 		r.Opts.Logger.Error("campaign failed", "err", err, "completed", len(ds.Results))
 		// The partial dataset travels with the error: completed
 		// experiments are never discarded (docs/robustness.md).
-		return ds, err
+		return ds, runs, err
 	}
 
 	if r.Opts.TrainRecon {
@@ -951,7 +1001,7 @@ func (r *Runner) RunCampaignContext(parent context.Context) (*Dataset, error) {
 		"excluded", stats.Excluded, "skipped", len(ds.Meta.Failures),
 		"flows", stats.TotalFlows, "leaks", stats.LeakFlows,
 		"elapsed", time.Since(campaignStart))
-	return ds, nil
+	return ds, runs, nil
 }
 
 // failurePolicy resolves the configured policy (zero value = abort).

@@ -16,21 +16,32 @@ package pii
 //     friends) verify the raw bytes at the hit position before counting.
 //   - The transition table is dense over *byte classes*, not raw bytes:
 //     every byte that appears in no needle shares one class, which keeps
-//     the table at states × (distinct needle bytes + 1) int32s.
+//     the table at states × (distinct needle bytes + 1) entries.
+//   - Entries are uint16 whenever the trie has fewer than 65,536 states,
+//     which every catalog identity does (the largest has 5,702), and
+//     int32 otherwise. The width is chosen once per build, and each Scan
+//     or Write picks the matching instantiation of its generic loop once,
+//     never per byte.
 //   - Fail links are resolved at build time into a full DFA, so the scan
 //     loop is exactly one table read per content byte.
 //   - Output lists are pre-merged along fail chains: outputs[s] holds every
 //     needle ending at state s, including suffix needles.
-//   - Construction is paid once per experiment, so it allocates only flat
-//     arrays: the goto trie is first-child/next-sibling int32 lists, laid
-//     out once into the exactly sized dense table, and every output list
-//     is a window of one shared backing array.
+//   - Construction is paid once per identity in a campaign, so it
+//     allocates only flat arrays: the goto trie is first-child/next-sibling
+//     int32 lists, laid out once into the exactly sized dense table, and
+//     every output list is a window of one shared backing array.
 type automaton struct {
 	classOf    [256]uint16 // byte → class; 0 = "appears in no needle"
 	numClasses int
-	next       []int32   // state*numClasses + class → next state
-	outputs    [][]int32 // state → needle indices ending here (nil for most)
+	// state*numClasses + class → next state. Exactly one table is set:
+	// next16 when the trie has fewer than 1<<16 states, else next32.
+	next16  []uint16
+	next32  []int32
+	outputs [][]int32 // state → needle indices ending here (nil for most)
 }
+
+// stateIndex is the element type of a transition table.
+type stateIndex interface{ uint16 | int32 }
 
 // foldNeedle returns the byte sequence inserted into the trie: the
 // ASCII-folded needle text. Folding every needle (case-sensitive ones
@@ -99,27 +110,13 @@ func buildAutomaton(needles []needle) *automaton {
 	}
 	states := len(label)
 
-	// BFS: compute fail links and resolve the dense DFA row of each state.
-	// A state's fail has strictly smaller depth, so its row is always
-	// complete when needed.
-	a.next = make([]int32, states*nc)
-	fail := make([]int32, states)
-	queue := make([]int32, 1, states)
-	for qi := 0; qi < len(queue); qi++ {
-		s := queue[qi]
-		row := int(s) * nc
-		frow := int(fail[s]) * nc
-		if s != 0 {
-			copy(a.next[row:row+nc], a.next[frow:frow+nc])
-		}
-		for ch := firstChild[s]; ch >= 0; ch = sibling[ch] {
-			c := int(label[ch])
-			if s != 0 {
-				fail[ch] = a.next[frow+c]
-			}
-			a.next[row+c] = ch
-			queue = append(queue, ch)
-		}
+	var fail, queue []int32
+	if states < 1<<16 {
+		a.next16 = make([]uint16, states*nc)
+		fail, queue = resolveDFA(a.next16, nc, firstChild, sibling, label)
+	} else {
+		a.next32 = make([]int32, states*nc)
+		fail, queue = resolveDFA(a.next32, nc, firstChild, sibling, label)
 	}
 
 	// Pre-merge outputs along fail chains into one shared backing array:
@@ -152,6 +149,32 @@ func buildAutomaton(needles []needle) *automaton {
 		}
 	}
 	return a
+}
+
+// resolveDFA fills next, sized states × nc, with the dense DFA of the goto
+// trie, and returns the fail links and the BFS order of the states. A
+// state's fail has strictly smaller depth, so its row is always complete
+// when needed.
+func resolveDFA[T stateIndex](next []T, nc int, firstChild, sibling []int32, label []uint16) (fail, queue []int32) {
+	fail = make([]int32, len(label))
+	queue = make([]int32, 1, len(label))
+	for qi := 0; qi < len(queue); qi++ {
+		s := queue[qi]
+		row := int(s) * nc
+		frow := int(fail[s]) * nc
+		if s != 0 {
+			copy(next[row:row+nc], next[frow:frow+nc])
+		}
+		for ch := firstChild[s]; ch >= 0; ch = sibling[ch] {
+			c := int(label[ch])
+			if s != 0 {
+				fail[ch] = int32(next[frow+c])
+			}
+			next[row+c] = T(ch)
+			queue = append(queue, ch)
+		}
+	}
+	return fail, queue
 }
 
 // NumStates reports the automaton's state count (sizing/diagnostics).

@@ -117,12 +117,24 @@ func BenchmarkScanManyNeedles(b *testing.B) {
 }
 
 // BenchmarkNewMatcher measures needle precompilation — paid once per
-// experiment, not per flow.
+// identity in a campaign, not per flow.
 func BenchmarkNewMatcher(b *testing.B) {
 	rec := benchRecord()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if m := NewMatcher(rec); m.NumNeedles() == 0 {
+			b.Fatal("no needles")
+		}
+	}
+}
+
+// BenchmarkNewRedactor measures redactor construction, paid per record by
+// the inline gateway's redact action and by the protection mode.
+func BenchmarkNewRedactor(b *testing.B) {
+	rec := benchRecord()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if r := NewRedactor(rec); len(r.needles) == 0 {
 			b.Fatal("no needles")
 		}
 	}

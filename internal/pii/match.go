@@ -84,8 +84,25 @@ type needle struct {
 const minNeedleLen = 3
 
 // NewMatcher precompiles the search needles for a ground-truth record.
-func NewMatcher(rec *Record) *Matcher {
-	m := &Matcher{}
+func NewMatcher(rec *Record) *Matcher { return newMatcher(needlesFor(rec)) }
+
+// newMatcher compiles needles into a Matcher.
+func newMatcher(needles []needle) *Matcher {
+	m := &Matcher{needles: needles}
+	for i := range needles {
+		if n := len(needles[i].text) - 1; n > m.maxLookbehind {
+			m.maxLookbehind = n
+		}
+	}
+	m.ac = buildAutomaton(needles)
+	m.scanners.New = func() any { return m.NewScanner() }
+	return m
+}
+
+// needlesFor lists the record's (value, encoding) needles, deduplicated,
+// in value-then-encoding order.
+func needlesFor(rec *Record) []needle {
+	var needles []needle
 	encs := Encoders()
 	// Dedup key: the encoding plus the needle text, folded for
 	// case-insensitive needles.
@@ -115,7 +132,7 @@ func NewMatcher(rec *Record) *Matcher {
 				continue
 			}
 			seen[key] = true
-			m.needles = append(m.needles, needle{
+			needles = append(needles, needle{
 				text:      t,
 				plaintext: v.Text,
 				typ:       v.Type,
@@ -124,14 +141,7 @@ func NewMatcher(rec *Record) *Matcher {
 			})
 		}
 	}
-	for i := range m.needles {
-		if n := len(m.needles[i].text) - 1; n > m.maxLookbehind {
-			m.maxLookbehind = n
-		}
-	}
-	m.ac = buildAutomaton(m.needles)
-	m.scanners.New = func() any { return m.NewScanner() }
-	return m
+	return needles
 }
 
 // NumNeedles reports how many precompiled needles the matcher scans for.
@@ -183,12 +193,21 @@ func (s *Scanner) Scan(where, content string) []Match {
 		clear(s.seen)
 		s.epoch = 1
 	}
+	if next := s.m.ac.next16; next != nil {
+		return scanContent(s, next, where, content)
+	}
+	return scanContent(s, s.m.ac.next32, where, content)
+}
+
+// scanContent is Scanner.Scan's automaton pass over one transition-table
+// width.
+func scanContent[T stateIndex](s *Scanner, next []T, where, content string) []Match {
 	ac := s.m.ac
 	nc := ac.numClasses
-	st := int32(0)
+	st := 0
 	var out []Match
 	for i := 0; i < len(content); i++ {
-		st = ac.next[int(st)*nc+int(ac.classOf[foldByte(content[i])])]
+		st = int(next[st*nc+int(ac.classOf[foldByte(content[i])])])
 		outs := ac.outputs[st]
 		if len(outs) == 0 {
 			continue

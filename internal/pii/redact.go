@@ -13,15 +13,14 @@ const RedactionMark = "__redacted__"
 // protection"): the same value knowledge that detects leaks can rewrite
 // them before they leave the measurement proxy.
 type Redactor struct {
-	needles []needle // reuses the matcher's precompiled needles
+	needles []needle // the matcher's needles, longest first
 }
 
 // NewRedactor precompiles replacement needles for a ground-truth record.
 func NewRedactor(rec *Record) *Redactor {
-	m := NewMatcher(rec)
 	// Longest needles first so that "Jane Doering" is redacted before
 	// "Doering" could split it.
-	needles := append([]needle(nil), m.needles...)
+	needles := needlesFor(rec)
 	for i := 1; i < len(needles); i++ {
 		for j := i; j > 0 && len(needles[j].text) > len(needles[j-1].text); j-- {
 			needles[j], needles[j-1] = needles[j-1], needles[j]

@@ -40,7 +40,13 @@ type State struct{ s int32 }
 // which StreamScanner performs via its lookbehind window.
 func (m *Matcher) Step(st State, b byte) (State, int) {
 	ac := m.ac
-	next := ac.next[int(st.s)*ac.numClasses+int(ac.classOf[foldByte(b)])]
+	i := int(st.s)*ac.numClasses + int(ac.classOf[foldByte(b)])
+	var next int32
+	if ac.next16 != nil {
+		next = int32(ac.next16[i])
+	} else {
+		next = ac.next32[i]
+	}
 	return State{next}, len(ac.outputs[next])
 }
 
@@ -128,11 +134,24 @@ func (s *StreamScanner) Write(p []byte) (int, error) {
 		s.off += int64(len(p))
 		return len(p), nil
 	}
+	if next := m.ac.next16; next != nil {
+		streamChunk(s, next, p)
+	} else {
+		streamChunk(s, m.ac.next32, p)
+	}
+	s.updateTail(p)
+	s.off += int64(len(p))
+	return len(p), nil
+}
+
+// streamChunk is Write's automaton pass over one transition-table width.
+func streamChunk[T stateIndex](s *StreamScanner, next []T, p []byte) {
+	m := s.m
 	ac := m.ac
 	nc := ac.numClasses
-	st := s.st.s
+	st := int(s.st.s)
 	for i := 0; i < len(p); i++ {
-		st = ac.next[int(st)*nc+int(ac.classOf[foldByte(p[i])])]
+		st = int(next[st*nc+int(ac.classOf[foldByte(p[i])])])
 		outs := ac.outputs[st]
 		if len(outs) == 0 {
 			continue
@@ -159,10 +178,7 @@ func (s *StreamScanner) Write(p []byte) (int, error) {
 			})
 		}
 	}
-	s.st.s = st
-	s.updateTail(p)
-	s.off += int64(len(p))
-	return len(p), nil
+	s.st.s = int32(st)
 }
 
 // WriteString is Write for string chunks (copies once; the relay hot

@@ -111,8 +111,12 @@ func (ca *CA) Leaf(host string) (*tls.Certificate, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The chain is the leaf alone. Every device that trusts the proxy
+	// holds its CA as a root, and RFC 8446 §4.4.2 lets a server omit the
+	// trust anchor; served as an intermediate too, it only made each
+	// full handshake check the leaf's signature twice.
 	cert := &tls.Certificate{
-		Certificate: [][]byte{der, ca.certDER},
+		Certificate: [][]byte{der},
 		PrivateKey:  key,
 		Leaf:        leaf,
 	}

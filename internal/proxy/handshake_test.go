@@ -2,6 +2,8 @@ package proxy
 
 import (
 	"bufio"
+	"crypto/tls"
+	"crypto/x509"
 	"fmt"
 	"net"
 	"net/http"
@@ -55,4 +57,43 @@ func TestHandshakeTimeoutCountsTunnelFailure(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("stalled handshake never counted: counters = %v", reg.Snapshot().Counters)
+}
+
+// TestTunnelServesLeafWithoutAnchor: a device handshake through a tunnel
+// sees exactly the minted leaf, which verifies against the interception
+// CA's pool and not against a pool without it.
+func TestTunnelServesLeafWithoutAnchor(t *testing.T) {
+	w := newWorld(t)
+	const host = "shop.example"
+	w.serveTLS(host, echoHandler())
+
+	raw, err := net.DialTimeout("tcp", w.proxy.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	fmt.Fprintf(raw, "CONNECT %s:443 HTTP/1.1\r\nHost: %s:443\r\n\r\n", host, host)
+	br := bufio.NewReader(raw)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("CONNECT failed: %v %v", err, resp)
+	}
+	conn := tls.Client(raw, &tls.Config{ServerName: host, RootCAs: w.proxyCA.Pool()})
+	if err := conn.Handshake(); err != nil {
+		t.Fatalf("handshake against the interception CA: %v", err)
+	}
+	peers := conn.ConnectionState().PeerCertificates
+	if len(peers) != 1 {
+		t.Fatalf("device saw %d peer certificates, want the leaf alone", len(peers))
+	}
+	verify := func(roots *x509.CertPool) error {
+		_, err := peers[0].Verify(x509.VerifyOptions{DNSName: host, Roots: roots})
+		return err
+	}
+	if err := verify(w.proxyCA.Pool()); err != nil {
+		t.Errorf("leaf does not verify against the interception CA: %v", err)
+	}
+	if err := verify(w.originCA.Pool()); err == nil {
+		t.Error("leaf verifies against a pool without the interception CA")
+	}
 }
